@@ -207,6 +207,29 @@ func BenchmarkVindication(b *testing.B) {
 	}
 }
 
+// BenchmarkVindicatingClose measures a whole vindicating engine run on a
+// small xalan-shaped trace: ST-WDC fed the trace, then a Close that
+// replays it under the graph-building analysis and searches a witness
+// for the first race at every racing location.
+func BenchmarkVindicatingClose(b *testing.B) {
+	p, _ := workload.ProgramByName("xalan")
+	tr := p.Generate(16000, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng, err := race.NewEngine(race.WithVindication())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.FeedTrace(tr); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(tr.Len()), "events/op")
+}
+
 // BenchmarkAblationAcquireQueues isolates SmartTrack's final optimization
 // (§4.2): epoch-valued rule (b) acquire queues versus Algorithm 1/2-style
 // vector-clock queues.

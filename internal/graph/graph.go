@@ -7,7 +7,7 @@
 // witness reordering.
 package graph
 
-import "sort"
+import "slices"
 
 // Graph is an event constraint graph over a trace of N events. N grows as
 // events are observed, so a graph can be built over a stream whose length
@@ -69,18 +69,8 @@ func (g *Graph) build() {
 }
 
 func sortDedup(s *[]int32) {
-	v := *s
-	if len(v) < 2 {
-		return
-	}
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-	out := v[:1]
-	for _, x := range v[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	*s = out
+	slices.Sort(*s)
+	*s = slices.Compact(*s)
 }
 
 // Succ returns the cross-thread successors of event i. Indices beyond the

@@ -9,11 +9,21 @@
 // sound but incomplete: a returned witness always passes an independent
 // predicted-trace verifier (so a vindicated race is certainly predictable),
 // while failure to find a witness leaves the race unverified.
+//
+// Cost model: New indexes the trace once (per-thread event lists,
+// last writers, matching releases, per-variable access lists), in time and
+// space linear in the trace. Every later call pays only for its own work:
+// a pair's cone is computed in time linear in the cone, and each restart
+// of the scheduler costs the steps it takes — its scratch state is sized
+// by threads, locks and variables, reused across restarts, and reset
+// through lists of what the restart touched, never by a pass over the
+// trace. Vindicating every race of a trace therefore indexes it once.
 package vindicate
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/trace"
@@ -64,97 +74,36 @@ type Options struct {
 
 // FindPrior locates candidate earlier accesses conflicting with the access
 // at index e2, latest first.
-func FindPrior(tr *trace.Trace, e2 int) []int {
-	ev2 := tr.Events[e2]
-	if !ev2.Op.IsAccess() {
-		return nil
-	}
-	var out []int
-	for i := e2 - 1; i >= 0; i-- {
-		e := tr.Events[i]
-		if !e.Op.IsAccess() || e.Targ != ev2.Targ || e.T == ev2.T {
-			continue
-		}
-		if e.Op == trace.OpWrite || ev2.Op == trace.OpWrite {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func FindPrior(tr *trace.Trace, e2 int) []int { return New(tr, nil).FindPrior(e2) }
 
 // Race attempts to vindicate the race whose detecting access is at trace
-// index e2, trying each conflicting prior access in turn. A failure on a
-// racing read whose candidate writes were all graph-ordered before it is
-// flagged as the write→read gap (Result.WriteReadGap) rather than left as
-// a silent miss.
+// index e2. It indexes tr for this one call; use New to vindicate several
+// races of one trace.
 func Race(tr *trace.Trace, g *graph.Graph, e2 int, opts Options) Result {
-	cands := FindPrior(tr, e2)
-	ordered := 0
-	for _, e1 := range cands {
-		r := Pair(tr, g, e1, e2, opts)
-		if r.Vindicated {
-			return r
-		}
-		if r.Reason == reasonGraphOrdered {
-			ordered++
-		}
-	}
-	res := Result{E2: e2, Reason: "no conflicting prior access could be witnessed"}
-	if tr.Events[e2].Op == trace.OpRead && len(cands) > 0 && ordered == len(cands) {
-		res.WriteReadGap = true
-		res.Reason = ReasonWriteReadGap
-	}
-	return res
+	return New(tr, g).Race(e2, opts)
 }
 
-// Pair attempts to vindicate the specific conflicting pair (e1, e2).
+// Pair attempts to vindicate the specific conflicting pair (e1, e2). It
+// indexes tr for this one call; use New to vindicate several pairs of one
+// trace.
 func Pair(tr *trace.Trace, g *graph.Graph, e1, e2 int, opts Options) Result {
-	if opts.Restarts <= 0 {
-		opts.Restarts = 32
-	}
-	res := Result{E1: e1, E2: e2}
-	a, b := tr.Events[e1], tr.Events[e2]
-	if a.T == b.T || a.Targ != b.Targ || !a.Op.IsAccess() || !b.Op.IsAccess() ||
-		(a.Op != trace.OpWrite && b.Op != trace.OpWrite) {
-		res.Reason = "events do not conflict"
-		return res
-	}
-
-	v := newVindicator(tr, g)
-	cut, ok := v.cone(e1, e2)
-	if !ok {
-		res.Reason = reasonGraphOrdered
-		return res
-	}
-	// The racing threads may not hold a common lock at the race.
-	if m, clash := v.commonHeldLock(cut, e1, e2); clash {
-		res.Reason = fmt.Sprintf("racing accesses both inside critical sections on lock %d", m)
-		return res
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	for try := 0; try < opts.Restarts; try++ {
-		if w, ok := v.schedule(cut, e1, e2, rng); ok {
-			if err := Verify(tr, w, e1, e2); err != nil {
-				// The verifier is the soundness gate; a schedule that fails
-				// it is discarded.
-				continue
-			}
-			res.Vindicated = true
-			res.Witness = w
-			return res
-		}
-	}
-	res.Reason = "no legal reordering found within restart budget"
-	return res
+	return New(tr, g).Pair(e1, e2, opts)
 }
 
-type vindicator struct {
+// Vindicator holds the index of one trace and its constraint graph, and the
+// scratch state the witness search reuses from call to call. Build it once
+// per trace with New, then call Race or Pair per race.
+//
+// A Vindicator is not safe for concurrent use: every call rewrites its
+// scratch state. Results never alias that state.
+type Vindicator struct {
 	tr *trace.Trace
 	g  *graph.Graph
+
 	// byThread lists event indices per thread in trace order.
 	byThread [][]int32
-	// posInThread[i] is the rank of event i within its thread.
+	// tid[i] is event i's thread and posInThread[i] its rank within it.
+	tid         []trace.Tid
 	posInThread []int32
 	// lastWriter[i] is, for a read event i, the index of its last writer in
 	// the original trace (-1 if none).
@@ -162,23 +111,101 @@ type vindicator struct {
 	// matchRel[i] is, for an acquire event i, the index of its matching
 	// release (-1 if the critical section never closes).
 	matchRel []int32
+	// accesses[x] lists the reads and writes of variable x in trace order.
+	accesses [][]int32
+
+	// Scratch of cone: the per-thread cut and the closure's work stack.
+	// For lock completion, lockFirst[m] is the first thread with an
+	// included acquire of m (-1 if none), lockShared[m] whether a second
+	// thread has one too, and pending[m] the included acquires of m whose
+	// releases are pulled in once m is shared. coneLocks lists the locks
+	// whose entries are set.
+	cut        []int32
+	stack      []int32
+	lockFirst  []int32
+	lockShared []bool
+	pending    [][]int32
+	coneLocks  []uint32
+
+	// Scratch of schedule: per-thread cursors into the cut (an event is
+	// scheduled iff its rank is below its thread's cursor) and head events,
+	// the lock owners (-1 if free) and the witness's last writer per
+	// variable (-1 if none), each reset through the touched list beside
+	// it, the candidate threads of a step, and the witness being built.
+	ptr         []int32
+	head        []headEvent
+	lockOwner   []int32
+	lockTouched []uint32
+	lastW       []int32
+	varTouched  []uint32
+	cand        []int
+	out         []trace.Event
+
+	// rng is reseeded per pair, so each pair draws the same sequence
+	// whatever the Vindicator searched before.
+	rng *rand.Rand
 }
 
-func newVindicator(tr *trace.Trace, g *graph.Graph) *vindicator {
-	v := &vindicator{
+// headEvent caches what the scheduler checks of a thread's next event, so
+// a step reads one dense record per thread.
+type headEvent struct {
+	ev    trace.Event
+	i     int32
+	lw    int32   // lastWriter[i]
+	preds []int32 // graph predecessors of i
+}
+
+// New indexes tr and its constraint graph g for vindication. g may be nil
+// when the Vindicator is only used for FindPrior.
+func New(tr *trace.Trace, g *graph.Graph) *Vindicator {
+	n := tr.Len()
+	v := &Vindicator{
 		tr:          tr,
 		g:           g,
-		byThread:    make([][]int32, tr.Threads),
-		posInThread: make([]int32, tr.Len()),
-		lastWriter:  make([]int32, tr.Len()),
-		matchRel:    make([]int32, tr.Len()),
+		tid:         make([]trace.Tid, n),
+		posInThread: make([]int32, n),
+		lastWriter:  make([]int32, n),
+		matchRel:    make([]int32, n),
+		cut:         make([]int32, tr.Threads),
+		lockFirst:   make([]int32, tr.Locks),
+		lockShared:  make([]bool, tr.Locks),
+		pending:     make([][]int32, tr.Locks),
+		ptr:         make([]int32, tr.Threads),
+		head:        make([]headEvent, tr.Threads),
+		lockOwner:   make([]int32, tr.Locks),
+		lastW:       make([]int32, tr.Vars),
+		rng:         rand.New(rand.NewSource(0)),
 	}
+	for i := range v.lockFirst {
+		v.lockFirst[i] = -1
+		v.lockOwner[i] = -1
+	}
+	for i := range v.lastW {
+		v.lastW[i] = -1
+	}
+
+	// Size the per-thread and per-variable lists exactly, then fill them
+	// as views of one backing array each.
+	perThread := make([]int32, tr.Threads)
+	perVar := make([]int32, tr.Vars)
+	accessCount := 0
+	for _, e := range tr.Events {
+		perThread[e.T]++
+		if e.Op.IsAccess() {
+			perVar[e.Targ]++
+			accessCount++
+		}
+	}
+	v.byThread = carve(make([]int32, n), perThread)
+	v.accesses = carve(make([]int32, accessCount), perVar)
+
 	lastW := make([]int32, tr.Vars)
 	for i := range lastW {
 		lastW[i] = -1
 	}
 	openAcq := make([][]int32, tr.Locks) // stack per lock (depth ≤ 1 per well-formedness)
 	for i, e := range tr.Events {
+		v.tid[i] = e.T
 		v.posInThread[i] = int32(len(v.byThread[e.T]))
 		v.byThread[e.T] = append(v.byThread[e.T], int32(i))
 		v.lastWriter[i] = -1
@@ -186,8 +213,10 @@ func newVindicator(tr *trace.Trace, g *graph.Graph) *vindicator {
 		switch e.Op {
 		case trace.OpRead:
 			v.lastWriter[i] = lastW[e.Targ]
+			v.accesses[e.Targ] = append(v.accesses[e.Targ], int32(i))
 		case trace.OpWrite:
 			lastW[e.Targ] = int32(i)
+			v.accesses[e.Targ] = append(v.accesses[e.Targ], int32(i))
 		case trace.OpAcquire:
 			openAcq[e.Targ] = append(openAcq[e.Targ], int32(i))
 		case trace.OpRelease:
@@ -199,245 +228,332 @@ func newVindicator(tr *trace.Trace, g *graph.Graph) *vindicator {
 	return v
 }
 
-// cone computes, per thread, the prefix of events that must appear in any
-// witness for (e1, e2): the closure of the racing accesses' predecessors
-// under program order, the constraint graph's cross-thread edges,
-// last-writer dependencies, and lock-completion (an included acquire whose
-// lock another included critical section also uses needs its release, and
-// with it the release's program-order prefix). cut[t] is the number of
-// t-events included. Returns ok=false if closure pulls e1 or e2 in (the
-// pair is ordered, so no witness exists with them last).
-func (v *vindicator) cone(e1, e2 int) ([]int32, bool) {
-	cut := make([]int32, v.tr.Threads) // number of events included per thread
-	var stack []int32
+// carve splits backing into consecutive empty slices with the given
+// capacities.
+func carve(backing []int32, caps []int32) [][]int32 {
+	out := make([][]int32, len(caps))
+	off := int32(0)
+	for k, c := range caps {
+		out[k] = backing[off : off : off+c]
+		off += c
+	}
+	return out
+}
 
-	// need marks event i (and its PO prefix) as required.
-	need := func(i int32) {
-		t := v.tr.Events[i].T
-		if v.posInThread[i] < cut[t] {
-			return
+// FindPrior locates candidate earlier accesses conflicting with the access
+// at index e2, latest first.
+func (v *Vindicator) FindPrior(e2 int) []int {
+	ev2 := v.tr.Events[e2]
+	if !ev2.Op.IsAccess() {
+		return nil
+	}
+	acc := v.accesses[ev2.Targ]
+	k, _ := slices.BinarySearch(acc, int32(e2))
+	var out []int
+	for _, i := range slices.Backward(acc[:k]) {
+		e := v.tr.Events[i]
+		if e.T != ev2.T && (e.Op == trace.OpWrite || ev2.Op == trace.OpWrite) {
+			out = append(out, int(i))
 		}
-		stack = append(stack, i)
+	}
+	return out
+}
+
+// Race attempts to vindicate the race whose detecting access is at trace
+// index e2, trying each conflicting prior access in turn. A failure on a
+// racing read whose candidate writes were all graph-ordered before it is
+// flagged as the write→read gap (Result.WriteReadGap) rather than left as
+// a silent miss.
+func (v *Vindicator) Race(e2 int, opts Options) Result {
+	cands := v.FindPrior(e2)
+	ordered := 0
+	for _, e1 := range cands {
+		r := v.Pair(e1, e2, opts)
+		if r.Vindicated {
+			return r
+		}
+		if r.Reason == reasonGraphOrdered {
+			ordered++
+		}
+	}
+	res := Result{E2: e2, Reason: "no conflicting prior access could be witnessed"}
+	if v.tr.Events[e2].Op == trace.OpRead && len(cands) > 0 && ordered == len(cands) {
+		res.WriteReadGap = true
+		res.Reason = ReasonWriteReadGap
+	}
+	return res
+}
+
+// Pair attempts to vindicate the specific conflicting pair (e1, e2).
+func (v *Vindicator) Pair(e1, e2 int, opts Options) Result {
+	if opts.Restarts <= 0 {
+		opts.Restarts = 32
+	}
+	res := Result{E1: e1, E2: e2}
+	a, b := v.tr.Events[e1], v.tr.Events[e2]
+	if a.T == b.T || a.Targ != b.Targ || !a.Op.IsAccess() || !b.Op.IsAccess() ||
+		(a.Op != trace.OpWrite && b.Op != trace.OpWrite) {
+		res.Reason = "events do not conflict"
+		return res
 	}
 
+	if !v.cone(e1, e2) {
+		res.Reason = reasonGraphOrdered
+		return res
+	}
+	// The racing threads may not hold a common lock at the race.
+	if m, clash := v.commonHeldLock(e1, e2); clash {
+		res.Reason = fmt.Sprintf("racing accesses both inside critical sections on lock %d", m)
+		return res
+	}
+
+	v.rng.Seed(opts.Seed + 1)
+	for try := 0; try < opts.Restarts; try++ {
+		if v.schedule(e1, e2) {
+			if err := v.verify(v.out, e1, e2); err != nil {
+				// The verifier is the soundness gate; a schedule that fails
+				// it is discarded.
+				continue
+			}
+			res.Vindicated = true
+			res.Witness = slices.Clone(v.out)
+			return res
+		}
+	}
+	res.Reason = "no legal reordering found within restart budget"
+	return res
+}
+
+// cone computes into v.cut, per thread, the prefix of events that must
+// appear in any witness for (e1, e2): the closure of the racing accesses'
+// predecessors under program order, the constraint graph's cross-thread
+// edges, last-writer dependencies, and lock completion (an included
+// acquire whose lock another thread's included critical section also uses
+// needs its release, and with it the release's program-order prefix,
+// unless its critical section contains a racing access). v.cut[t] is the
+// number of t-events included. The cut is the least set closed under
+// these rules, so the order in which they are applied does not matter.
+// Returns false if the closure pulls e1 or e2 in (the pair is ordered, so
+// no witness exists with them last).
+func (v *Vindicator) cone(e1, e2 int) bool {
+	cut := v.cut
+	clear(cut)
+	for _, m := range v.coneLocks {
+		v.lockFirst[m] = -1
+		v.lockShared[m] = false
+		v.pending[m] = v.pending[m][:0]
+	}
+	v.coneLocks = v.coneLocks[:0]
+
+	v.stack = v.stack[:0]
 	// Seed: strict predecessors of the racing accesses.
-	for _, e := range []int{e1, e2} {
-		t := v.tr.Events[e].T
+	for _, e := range [2]int{e1, e2} {
 		if p := v.posInThread[e]; p > 0 {
-			need(v.byThread[t][p-1])
+			v.need(v.byThread[v.tid[e]][p-1])
 		}
 		for _, pr := range v.g.Pred(int32(e)) {
-			need(pr)
+			v.need(pr)
 		}
 	}
 
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		t := v.tr.Events[i].T
-		p := v.posInThread[i]
-		if p < cut[t] {
+	for len(v.stack) > 0 {
+		i := v.stack[len(v.stack)-1]
+		v.stack = v.stack[:len(v.stack)-1]
+		t := v.tid[i]
+		from, p := cut[t], v.posInThread[i]
+		if p < from {
 			continue
 		}
-		// Include t's events (cut[t] .. p] and chase their dependencies.
-		for r := cut[t]; r <= p; r++ {
-			j := v.byThread[t][r]
+		// Include t's events [from .. p] and chase their dependencies.
+		cut[t] = p + 1
+		for _, j := range v.byThread[t][from : p+1] {
 			for _, pr := range v.g.Pred(j) {
-				need(pr)
+				v.need(pr)
 			}
 			if w := v.lastWriter[j]; w >= 0 {
-				need(w)
+				v.need(w)
 			}
-		}
-		cut[t] = p + 1
-	}
-
-	// Lock completion to a fixpoint: if two threads' included prefixes both
-	// acquire lock m, every included critical section on m except those
-	// still open at the race must also include its release.
-	for changed := true; changed; {
-		changed = false
-		inclAcq := make(map[uint32]int) // lock -> #threads with included acquires
-		seen := make(map[uint32]map[trace.Tid]bool)
-		for t := range v.byThread {
-			for r := int32(0); r < cut[t]; r++ {
-				e := v.tr.Events[v.byThread[t][r]]
-				if e.Op == trace.OpAcquire {
-					if seen[e.Targ] == nil {
-						seen[e.Targ] = make(map[trace.Tid]bool)
-					}
-					if !seen[e.Targ][e.T] {
-						seen[e.Targ][e.T] = true
-						inclAcq[e.Targ]++
-					}
-				}
-			}
-		}
-		for t := range v.byThread {
-			for r := int32(0); r < cut[t]; r++ {
-				i := v.byThread[t][r]
-				e := v.tr.Events[i]
-				if e.Op != trace.OpAcquire || inclAcq[e.Targ] < 2 {
-					continue
-				}
-				rel := v.matchRel[i]
-				if rel < 0 {
-					continue
-				}
-				if v.posInThread[rel] >= cut[e.T] {
-					// Pull in the release (and its prefix) unless this is a
-					// critical section containing the race itself.
-					if int(i) <= e1 && e1 <= int(rel) && v.tr.Events[e1].T == e.T {
-						continue
-					}
-					if int(i) <= e2 && e2 <= int(rel) && v.tr.Events[e2].T == e.T {
-						continue
-					}
-					stack = append(stack, rel)
-					for len(stack) > 0 {
-						j := stack[len(stack)-1]
-						stack = stack[:len(stack)-1]
-						tj := v.tr.Events[j].T
-						pj := v.posInThread[j]
-						if pj < cut[tj] {
-							continue
-						}
-						for rr := cut[tj]; rr <= pj; rr++ {
-							k := v.byThread[tj][rr]
-							for _, pr := range v.g.Pred(k) {
-								stack = append(stack, pr)
-							}
-							if w := v.lastWriter[k]; w >= 0 {
-								stack = append(stack, w)
-							}
-						}
-						cut[tj] = pj + 1
-						changed = true
-					}
-				}
+			if e := v.tr.Events[j]; e.Op == trace.OpAcquire {
+				v.includeAcquire(j, e, e1, e2)
 			}
 		}
 	}
 
 	// If closure swallowed a racing access, the pair is graph-ordered.
-	if v.posInThread[e1] < cut[v.tr.Events[e1].T] || v.posInThread[e2] < cut[v.tr.Events[e2].T] {
-		return nil, false
+	return v.posInThread[e1] >= cut[v.tid[e1]] && v.posInThread[e2] >= cut[v.tid[e2]]
+}
+
+// need pushes event i, standing for its program-order prefix, onto the
+// cone's work stack unless the cut already includes it.
+func (v *Vindicator) need(i int32) {
+	if v.posInThread[i] >= v.cut[v.tid[i]] {
+		v.stack = append(v.stack, i)
 	}
-	return cut, true
+}
+
+// includeAcquire applies lock completion to acquire j (event e) as it
+// joins the cut: once two threads' included prefixes both acquire the
+// lock, every included critical section on it must close inside the cut,
+// except one containing a racing access.
+func (v *Vindicator) includeAcquire(j int32, e trace.Event, e1, e2 int) {
+	m := e.Targ
+	switch first := v.lockFirst[m]; {
+	case first < 0:
+		v.lockFirst[m] = int32(e.T)
+		v.coneLocks = append(v.coneLocks, m)
+	case first != int32(e.T) && !v.lockShared[m]:
+		v.lockShared[m] = true
+		for _, a := range v.pending[m] {
+			v.need(v.matchRel[a])
+		}
+		v.pending[m] = v.pending[m][:0]
+	}
+	rel := v.matchRel[j]
+	if rel < 0 || v.holdsRacing(j, rel, e.T, e1) || v.holdsRacing(j, rel, e.T, e2) {
+		return
+	}
+	if v.lockShared[m] {
+		v.need(rel)
+	} else {
+		v.pending[m] = append(v.pending[m], j)
+	}
+}
+
+// holdsRacing reports whether thread t's critical section from acq to rel
+// contains the racing access e.
+func (v *Vindicator) holdsRacing(acq, rel int32, t trace.Tid, e int) bool {
+	return int(acq) <= e && e <= int(rel) && v.tid[e] == t
 }
 
 // commonHeldLock reports a lock held by both racing threads at their
 // accesses (which makes adjacency impossible).
-func (v *vindicator) commonHeldLock(cut []int32, e1, e2 int) (uint32, bool) {
-	held := func(e int) map[uint32]bool {
-		t := v.tr.Events[e].T
-		h := make(map[uint32]bool)
-		for r := int32(0); r < v.posInThread[e]; r++ {
-			ev := v.tr.Events[v.byThread[t][r]]
-			switch ev.Op {
-			case trace.OpAcquire:
-				h[ev.Targ] = true
-			case trace.OpRelease:
-				delete(h, ev.Targ)
-			}
-		}
-		return h
-	}
-	h1 := held(e1)
-	for m := range held(e2) {
-		if h1[m] {
+func (v *Vindicator) commonHeldLock(e1, e2 int) (uint32, bool) {
+	h1 := v.heldAt(e1)
+	for _, m := range v.heldAt(e2) {
+		if slices.Contains(h1, m) {
 			return m, true
 		}
 	}
 	return 0, false
 }
 
-// schedule greedily linearizes the cone plus the racing pair. Each step
-// picks a random enabled thread; an event is enabled when its graph
-// predecessors are scheduled, its lock (for acquires) is free, and (for
-// reads) its original last writer is the witness's current last writer.
-func (v *vindicator) schedule(cut []int32, e1, e2 int, rng *rand.Rand) ([]trace.Event, bool) {
-	tr := v.tr
-	ptr := make([]int32, tr.Threads)
-	scheduled := make([]bool, tr.Len())
-	lockOwner := make([]int32, tr.Locks)
-	for i := range lockOwner {
-		lockOwner[i] = -1
+// heldAt lists the locks e's thread holds just before e.
+func (v *Vindicator) heldAt(e int) []uint32 {
+	var held []uint32
+	for _, j := range v.byThread[v.tid[e]][:v.posInThread[e]] {
+		switch ev := v.tr.Events[j]; ev.Op {
+		case trace.OpAcquire:
+			held = append(held, ev.Targ)
+		case trace.OpRelease:
+			if k := slices.Index(held, ev.Targ); k >= 0 {
+				held = slices.Delete(held, k, k+1)
+			}
+		}
 	}
-	lastW := make([]int32, tr.Vars)
-	for i := range lastW {
-		lastW[i] = -1
+	return held
+}
+
+// schedule greedily linearizes the cone in v.cut plus the racing pair into
+// v.out, returning whether it got through. Each step picks a random
+// enabled thread, drawing once from v.rng among the candidate threads in
+// ascending id; an event is enabled when its graph predecessors are
+// scheduled, its lock (for acquires) is free, and (for reads) its original
+// last writer is the witness's current last writer.
+func (v *Vindicator) schedule(e1, e2 int) bool {
+	cut, ptr := v.cut, v.ptr
+	clear(ptr)
+	for _, m := range v.lockTouched {
+		v.lockOwner[m] = -1
 	}
-	var out []trace.Event
+	v.lockTouched = v.lockTouched[:0]
+	for _, x := range v.varTouched {
+		v.lastW[x] = -1
+	}
+	v.varTouched = v.varTouched[:0]
+	out := v.out[:0]
 
 	total := 0
-	for t := range cut {
-		total += int(cut[t])
-	}
-
-	// enabled reports whether event i can be scheduled next. The racing
-	// accesses themselves are judged by co-enabledness (the formal race
-	// definition asks that both be *about to execute*, not that they
-	// execute), so a racing read is exempt from the last-writer rule.
-	enabled := func(i int32, racing bool) bool {
-		e := tr.Events[i]
-		for _, pr := range v.g.Pred(i) {
-			if !scheduled[pr] {
-				return false
-			}
-		}
-		switch e.Op {
-		case trace.OpAcquire:
-			if lockOwner[e.Targ] != -1 {
-				return false
-			}
-		case trace.OpRead:
-			if !racing && lastW[e.Targ] != v.lastWriter[i] {
-				return false
-			}
-		}
-		return true
-	}
-
-	emit := func(i int32) {
-		e := tr.Events[i]
-		scheduled[i] = true
-		out = append(out, e)
-		switch e.Op {
-		case trace.OpAcquire:
-			lockOwner[e.Targ] = int32(e.T)
-		case trace.OpRelease:
-			lockOwner[e.Targ] = -1
-		case trace.OpWrite:
-			lastW[e.Targ] = i
+	for t, c := range cut {
+		total += int(c)
+		if c > 0 {
+			v.loadHead(t)
 		}
 	}
 
-	for emitted := 0; emitted < total; {
+	for emitted := 0; emitted < total; emitted++ {
 		// Candidate threads whose next cone event is enabled.
-		var cand []int
-		for t := 0; t < tr.Threads; t++ {
-			if ptr[t] < cut[t] && enabled(v.byThread[t][ptr[t]], false) {
+		cand := v.cand[:0]
+		for t, c := range cut {
+			if ptr[t] < c && v.headEnabled(&v.head[t]) {
 				cand = append(cand, t)
 			}
 		}
+		v.cand = cand
 		if len(cand) == 0 {
-			return nil, false // stuck: constraint deadlock under this order
+			v.out = out
+			return false // stuck: constraint deadlock under this order
 		}
-		t := cand[rng.Intn(len(cand))]
-		emit(v.byThread[t][ptr[t]])
+		t := cand[v.rng.Intn(len(cand))]
+		h := &v.head[t]
+		out = append(out, h.ev)
+		switch h.ev.Op {
+		case trace.OpAcquire:
+			v.lockOwner[h.ev.Targ] = int32(t)
+			v.lockTouched = append(v.lockTouched, h.ev.Targ)
+		case trace.OpRelease:
+			v.lockOwner[h.ev.Targ] = -1
+		case trace.OpWrite:
+			if v.lastW[h.ev.Targ] < 0 {
+				v.varTouched = append(v.varTouched, h.ev.Targ)
+			}
+			v.lastW[h.ev.Targ] = h.i
+		}
 		ptr[t]++
-		emitted++
+		if ptr[t] < cut[t] {
+			v.loadHead(t)
+		}
 	}
-	// Finally the racing pair: both must be co-enabled in this state
-	// (emitting e1 cannot disable e2 — accesses do not touch locks, and
-	// racing reads are exempt from the last-writer rule).
-	if !enabled(int32(e1), true) || !enabled(int32(e2), true) {
-		return nil, false
+	// Finally the racing pair: both must be co-enabled in this state. The
+	// formal race definition asks only that both be *about to execute*, so
+	// a racing read is exempt from the last-writer rule, and accesses take
+	// no locks: emitting e1 cannot disable e2.
+	if !v.predsScheduled(v.g.Pred(int32(e1))) || !v.predsScheduled(v.g.Pred(int32(e2))) {
+		v.out = out
+		return false
 	}
-	emit(int32(e1))
-	emit(int32(e2))
-	return out, true
+	v.out = append(out, v.tr.Events[e1], v.tr.Events[e2])
+	return true
+}
+
+// loadHead caches thread t's next event, at its cursor.
+func (v *Vindicator) loadHead(t int) {
+	i := v.byThread[t][v.ptr[t]]
+	v.head[t] = headEvent{ev: v.tr.Events[i], i: i, lw: v.lastWriter[i], preds: v.g.Pred(i)}
+}
+
+// headEnabled reports whether a thread's head event can be scheduled next.
+func (v *Vindicator) headEnabled(h *headEvent) bool {
+	switch h.ev.Op {
+	case trace.OpAcquire:
+		if v.lockOwner[h.ev.Targ] != -1 {
+			return false
+		}
+	case trace.OpRead:
+		if v.lastW[h.ev.Targ] != h.lw {
+			return false
+		}
+	}
+	return v.predsScheduled(h.preds)
+}
+
+// predsScheduled reports whether every event of preds is scheduled.
+func (v *Vindicator) predsScheduled(preds []int32) bool {
+	for _, pr := range preds {
+		if v.posInThread[pr] >= v.ptr[v.tid[pr]] {
+			return false
+		}
+	}
+	return true
 }
 
 // Verify independently checks that witness is a predicted trace of tr
@@ -446,10 +562,14 @@ func (v *vindicator) schedule(cut []int32, e1, e2 int, rng *rand.Rand) ([]trace.
 // well formed, every read has the same last writer as in tr, and the final
 // two events are the conflicting pair with no intervening event.
 func Verify(tr *trace.Trace, witness []trace.Event, e1, e2 int) error {
+	return New(tr, nil).verify(witness, e1, e2)
+}
+
+func (v *Vindicator) verify(witness []trace.Event, e1, e2 int) error {
+	tr := v.tr
 	if len(witness) < 2 {
 		return fmt.Errorf("vindicate: witness too short")
 	}
-	v := newVindicator(tr, graph.New(tr.Len()))
 
 	// Map witness events back to trace indices: per-thread subsequence
 	// matching (greedy — witness events must appear in each thread's

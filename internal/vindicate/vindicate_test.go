@@ -1,6 +1,7 @@
 package vindicate
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
@@ -221,5 +222,45 @@ func TestGraphBasics(t *testing.T) {
 	}
 	if g.Weight() <= 0 {
 		t.Error("weight must be positive")
+	}
+}
+
+// TestVindicatorReuse vindicates every race of a workload trace through
+// one shared Vindicator, forward and then in reverse, and checks each
+// result against a fresh index. Exhausted searches leave their last stuck
+// schedule holding locks and last writers in the scratch state, so a
+// reset that missed any of it would change a later race's verdict or
+// witness.
+func TestVindicatorReuse(t *testing.T) {
+	p, _ := workload.ProgramByName("pmd")
+	tr := p.Generate(80000, 3)
+	a := runWDCGraph(tr)
+	races := a.Races().Races()
+	want := make([]Result, len(races))
+	for k, r := range races {
+		want[k] = Race(tr, a.Graph(), r.Index, Options{Seed: int64(k)})
+	}
+	v := New(tr, a.Graph())
+	dirty := 0 // calls leaving a lock held for the next call to reset
+	check := func(k int) {
+		got := v.Race(races[k].Index, Options{Seed: int64(k)})
+		if !reflect.DeepEqual(got, want[k]) {
+			t.Errorf("race %d (index %d): shared Vindicator gave %+v, fresh gave %+v", k, races[k].Index, got, want[k])
+		}
+		for _, m := range v.lockTouched {
+			if v.lockOwner[m] >= 0 && len(v.varTouched) > 0 {
+				dirty++
+				break
+			}
+		}
+	}
+	for k := range races {
+		check(k)
+	}
+	for k := len(races) - 1; k >= 0; k-- {
+		check(k)
+	}
+	if dirty == 0 {
+		t.Error("no search left a held lock and a last writer behind; the test covers no reset")
 	}
 }

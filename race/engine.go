@@ -610,7 +610,7 @@ func (e *Engine) vindicateAll(subs []*Report) (map[int]VindicationResult, error)
 	for _, ev := range tr.Events {
 		a.Handle(ev)
 	}
-	g := a.Graph()
+	v := vindicate.New(tr, a.Graph())
 	out := make(map[int]VindicationResult)
 	seenLoc := make(map[uint32]bool)
 	for _, sub := range subs {
@@ -622,7 +622,7 @@ func (e *Engine) vindicateAll(subs []*Report) (map[int]VindicationResult, error)
 			if _, done := out[rc.Index]; done {
 				continue
 			}
-			res := vindicate.Race(tr, g, rc.Index, vindicate.Options{})
+			res := v.Race(rc.Index, vindicate.Options{})
 			out[rc.Index] = VindicationResult{
 				Vindicated: res.Vindicated,
 				Witness:    res.Witness,

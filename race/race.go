@@ -333,7 +333,7 @@ func Vindicate(tr *Trace, raceIndex int) (VindicationResult, error) {
 	for _, e := range tr.Events {
 		a.Handle(e)
 	}
-	res := vindicate.Race(tr, a.Graph(), raceIndex, vindicate.Options{})
+	res := vindicate.New(tr, a.Graph()).Race(raceIndex, vindicate.Options{})
 	out := VindicationResult{Vindicated: res.Vindicated, Witness: res.Witness, Reason: res.Reason}
 	if res.WriteReadGap {
 		return out, ErrWriteReadRace
