@@ -16,11 +16,22 @@
 // rates (doubling climb, then bisection) until the maximum rate that
 // holds the SLO is bracketed.
 //
-// Exit status is the harness contract: non-zero if any error was
-// unclassified (a PR 8 typed-error violation) or any -verify-sample
-// session's report differed from a batch re-analysis of the same trace.
-// Typed rejections and SLO breaches are *data*, not failures — a load
-// test that finds the server's limit has succeeded.
+// -faults disk|net|flap is the fault-injection acceptance run: instead of
+// dialing -addr it boots an in-process two-backend fleet (real TCP, real
+// journals) with that seeded fault schedule armed, and streams every
+// Table 1 cell (unless -analysis narrows it) through the chaos. The same
+// seed replays the same schedule and the same session placement.
+//
+//	raceload -faults disk -seed 1 -mix dacapo:avrora,dacapo:xalan,dacapo:h2 \
+//	    -target-rps 6 -duration 1s -session-events 40000 -flush-every 1024 \
+//	    -verify-sample 6 -min-faults 1
+//
+// Exit status is the harness contract: 1 if any error was unclassified (a
+// typed-error violation) or any -verify-sample session's report differed
+// from a batch re-analysis of the same trace; otherwise 2 if a -faults
+// run injected fewer than -min-faults faults (the run proved nothing);
+// otherwise 0. Typed rejections and SLO breaches are *data*, not
+// failures — a load test that finds the server's limit has succeeded.
 package main
 
 import (
@@ -69,6 +80,8 @@ func main() {
 		search         = flag.Bool("search", false, "saturation search: probe flat rates until the max sustainable RPS is bracketed")
 		searchWindow   = flag.Duration("search-window", 10*time.Second, "flat-rate hold per search probe")
 		searchMax      = flag.Float64("search-max", 4096, "search rate ceiling (safety rail)")
+		faults         = flag.String("faults", "", "fault schedule (disk, net, or flap): run against an in-process faulty fleet instead of -addr")
+		minFaults      = flag.Int64("min-faults", 1, "with -faults: fewest injected faults for a non-vacuous run (exit 2 below it)")
 		out            = flag.String("o", "LOAD_raceload.json", "report output path")
 		logLevel       = flag.String("log-level", "info", "log threshold: debug, info, warn, or error")
 	)
@@ -109,6 +122,7 @@ func main() {
 		Seed:           *seed,
 		SLOFlushP99:    *sloFlushP99,
 		VerifySample:   *verifySample,
+		Faults:         *faults,
 		Logger:         logger,
 	}
 
@@ -166,6 +180,14 @@ func main() {
 		logger.Error("sampled report verification failed",
 			"sampled", v.Sampled, "matched", v.Matched, "mismatched", strings.Join(v.Mismatched, "; "))
 		exit = 1
+	}
+	if f := g.Faults; f != nil {
+		logger.Info("fault schedule", "schedule", f.Schedule, "seed", g.Seed, "injected", f.Injected)
+		if f.Injected < *minFaults && exit == 0 {
+			logger.Error("fault schedule injected too few faults; the run proved nothing",
+				"injected", f.Injected, "min_faults", *minFaults)
+			exit = 2
+		}
 	}
 	os.Exit(exit)
 }

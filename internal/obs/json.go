@@ -2,9 +2,8 @@ package obs
 
 import "strings"
 
-// JSONMap renders a snapshot as a flat JSON-marshalable map — the
-// canonical-name view the services merge into their legacy /metrics
-// JSON bodies. Counters and gauges map to their value; histograms map
+// JSONMap renders a snapshot as a flat JSON-marshalable map — the whole
+// JSON /metrics body of raced and racefleet. Counters and gauges map to their value; histograms map
 // to a {count, sum, p50, p90, p99} object. Labelled series are keyed
 // name{k="v",...} exactly as the Prometheus exposition spells them.
 func JSONMap(snaps []MetricSnapshot) map[string]any {

@@ -112,8 +112,8 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzFrameCorruption: any single-bit flip of a valid frame must be
-// rejected — this is the invariant racechaos leans on for the network
-// fault schedule.
+// rejected — this is the invariant the network fault schedule
+// (raceload -faults net) leans on.
 func FuzzFrameCorruption(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint32(3))
 	f.Add([]byte{}, uint32(0))

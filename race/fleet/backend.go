@@ -22,6 +22,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"repro/internal/obs/tracing"
@@ -33,10 +34,13 @@ import (
 var (
 	// ErrBackendDraining marks a backend that answers health probes but
 	// has been told to stop admitting sessions: reachable (existing
-	// sessions keep streaming, admin calls work) but not routable.
-	ErrBackendDraining = errors.New("fleet: backend is draining")
-	// ErrNoBackends means no routable backend remains for an operation.
-	ErrNoBackends = errors.New("fleet: no routable backends")
+	// sessions keep streaming, admin calls work) but not routable. It
+	// wraps server.ErrDraining, so it encodes and classifies as "draining".
+	ErrBackendDraining = fmt.Errorf("fleet: backend is draining: %w", server.ErrDraining)
+	// ErrNoBackends means no routable backend remains for an operation. It
+	// wraps server.ErrServerFull: to a client the fleet is out of capacity,
+	// so it encodes and classifies as "full".
+	ErrNoBackends = fmt.Errorf("fleet: no routable backends: %w", server.ErrServerFull)
 	// ErrBackendDown is a simulated-crash (Local.Kill) or probe-declared
 	// dead backend refusing an operation.
 	ErrBackendDown = errors.New("fleet: backend is down")

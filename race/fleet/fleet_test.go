@@ -3,32 +3,24 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/race"
 	"repro/race/server"
 )
 
-// batchReport computes the in-process truth: one engine over the whole
-// trace, canonical JSON.
+// batchReport computes the in-process truth (race.AnalyzeJSON) for tr.
 func batchReport(t *testing.T, tr *race.Trace, names []string) []byte {
 	t.Helper()
-	eng, err := race.NewEngine(race.WithAnalysisNames(names...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.FeedTrace(tr); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := eng.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := json.Marshal(rep)
+	doc, err := race.AnalyzeJSON(tr, race.WithAnalysisNames(names...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +139,8 @@ func TestMigrationMidStreamConformanceAllCells(t *testing.T) {
 		t.Errorf("migrated report differs from uninterrupted batch Analyze\n--- migrated ---\n%s\n--- batch ---\n%s", got, want)
 	}
 
-	m := rt.Snapshot()
-	if m.MigrationsCompleted == 0 || m.MigrationsFailed != 0 {
-		t.Errorf("metrics after migration: %+v", m)
+	if done, failed := fleetMetric(rt, "fleet_migrations_completed_total"), fleetMetric(rt, "fleet_migrations_failed_total"); done == 0 || failed != 0 {
+		t.Errorf("metrics after migration: completed %v, failed %v", done, failed)
 	}
 }
 
@@ -204,12 +195,11 @@ func TestCrashMigrationConformanceAllCells(t *testing.T) {
 		t.Errorf("session %s still streaming on survivor after close", id)
 	}
 
-	m := rt.Snapshot()
-	if m.MigrationsCompleted == 0 {
-		t.Errorf("no completed migration recorded: %+v", m)
+	if fleetMetric(rt, "fleet_migrations_completed_total") == 0 {
+		t.Error("no completed migration recorded")
 	}
-	if st := m.Backends[holder.Name()]; st.Status != "down" {
-		t.Errorf("killed backend status %q, want down", st.Status)
+	if st := rt.health.status(holder.Name()); st != "down" {
+		t.Errorf("killed backend status %q, want down", st)
 	}
 }
 
@@ -314,20 +304,76 @@ func TestRouterSpreadsSessions(t *testing.T) {
 		}
 		c.Close()
 	}
-	m := rt.Snapshot()
-	var routed uint64
+	var routed float64
 	spread := 0
 	for _, b := range locals {
-		c := m.Backends[b.Name()].SessionsRouted
+		c := fleetMetric(rt, `fleet_sessions_routed_total{backend="`+b.Name()+`"}`)
 		routed += c
 		if c > 0 {
 			spread++
 		}
 	}
 	if routed != n {
-		t.Errorf("metrics count %d sessions routed, want %d", routed, n)
+		t.Errorf("metrics count %v sessions routed, want %d", routed, n)
 	}
 	if spread < 2 {
 		t.Errorf("all %d sessions landed on one backend; ring not spreading", n)
+	}
+}
+
+// TestRouterHTTPAllBackendsDownIsTyped: with every backend down, the
+// router's HTTP API answers 503 typed with the same error code the wire
+// path sends for ErrNoBackends ("full"), so HTTP callers classify the
+// refusal exactly as wire clients do.
+func TestRouterHTTPAllBackendsDownIsTyped(t *testing.T) {
+	rt, locals, _ := startFleet(t, 2)
+	for _, b := range locals {
+		b.Kill()
+		rt.health.markDown(b.Name())
+	}
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/sessions"},
+		{http.MethodGet, "/sessions/f0123456789ab/races"},
+		{http.MethodPost, "/ingest"},
+	} {
+		req, err := http.NewRequest(route.method, ts.URL+route.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(res.Body)
+		res.Body.Close()
+		if res.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s %s: status %d, want 503", route.method, route.path, res.StatusCode)
+		}
+		code := wire.ErrCode(res.Header.Get(wire.ErrorCodeHeader))
+		if code != wire.CodeFull {
+			t.Errorf("%s %s: error code %q, want %q", route.method, route.path, code, wire.CodeFull)
+		}
+		if got := server.Classify(server.RemoteFault(code, string(body))); got != "full" {
+			t.Errorf("%s %s: classified %q, want full", route.method, route.path, got)
+		}
+	}
+}
+
+// TestFleetErrorsClassifyAsServerCodes: the router's own refusals wrap
+// their server counterparts, so they encode and classify through the one
+// server table rather than a fleet-side switch.
+func TestFleetErrorsClassifyAsServerCodes(t *testing.T) {
+	for err, want := range map[error]wire.ErrCode{
+		ErrNoBackends:      wire.CodeFull,
+		ErrBackendDraining: wire.CodeDraining,
+	} {
+		if got := server.ErrorCode(err); got != want {
+			t.Errorf("ErrorCode(%v) = %q, want %q", err, got, want)
+		}
+		if got := server.Classify(fmt.Errorf("route: %w", err)); got != string(want) {
+			t.Errorf("Classify(%v) = %q, want %q", err, got, want)
+		}
 	}
 }

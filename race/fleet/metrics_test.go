@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -17,8 +16,7 @@ import (
 
 // TestFleetMetricsExposition drives a two-backend fleet through an open,
 // a migration, and a resume, then checks that the canonical fleet_*
-// series, the Prometheus exposition, and the legacy JSON document all
-// agree.
+// series, the Prometheus exposition, and the JSON map all agree.
 func TestFleetMetricsExposition(t *testing.T) {
 	rt, locals, _ := startFleet(t, 2)
 	ctx := context.Background()
@@ -61,17 +59,17 @@ func TestFleetMetricsExposition(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	legacy := rt.Snapshot()
-	if legacy.MigrationsStarted != 1 || legacy.MigrationsCompleted != 1 || legacy.MigrationsFailed != 0 {
-		t.Fatalf("migrations: %+v", legacy)
+	if started, done, failed := fleetMetric(rt, "fleet_migrations_started_total"),
+		fleetMetric(rt, "fleet_migrations_completed_total"), fleetMetric(rt, "fleet_migrations_failed_total"); started != 1 || done != 1 || failed != 0 {
+		t.Fatalf("migrations: started %v, completed %v, failed %v", started, done, failed)
 	}
-	var routed, resumed uint64
-	for _, bm := range legacy.Backends {
-		routed += bm.SessionsRouted
-		resumed += bm.ResumesRouted
+	var routed, resumed float64
+	for _, b := range locals {
+		routed += fleetMetric(rt, `fleet_sessions_routed_total{backend="`+b.Name()+`"}`)
+		resumed += fleetMetric(rt, `fleet_resumes_routed_total{backend="`+b.Name()+`"}`)
 	}
 	if routed != 1 || resumed != 1 {
-		t.Fatalf("routed=%d resumed=%d, want 1 and 1", routed, resumed)
+		t.Fatalf("routed=%v resumed=%v, want 1 and 1", routed, resumed)
 	}
 
 	ts := httptest.NewServer(rt.Handler())
@@ -115,8 +113,8 @@ func TestFleetMetricsExposition(t *testing.T) {
 		}
 		promRouted += s.Value
 	}
-	if promRouted != float64(routed) {
-		t.Errorf("prometheus routed sum %v != legacy %v", promRouted, routed)
+	if promRouted != routed {
+		t.Errorf("prometheus routed sum %v != JSON %v", promRouted, routed)
 	}
 	upFam, ok := byName["fleet_backend_up"]
 	if !ok || len(upFam.Samples) != 2 {
@@ -146,7 +144,7 @@ func TestFleetMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// JSON view: canonical names alongside legacy aliases, same values.
+	// JSON view: exactly the registry's canonical-name map, no aliases.
 	res2, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -156,23 +154,17 @@ func TestFleetMetricsExposition(t *testing.T) {
 	if err := json.NewDecoder(res2.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body["migrations_completed"] != float64(1) {
-		t.Errorf("legacy migrations_completed = %v", body["migrations_completed"])
+	want := obs.JSONMap(rt.reg.Snapshot())
+	if len(body) != len(want) {
+		t.Errorf("JSON body has %d keys, registry map %d", len(body), len(want))
 	}
-	if body["fleet_migrations_completed_total"] != float64(1) {
-		t.Errorf("canonical fleet_migrations_completed_total = %v", body["fleet_migrations_completed_total"])
-	}
-	if _, ok := body["backends"]; !ok {
-		t.Error("legacy backends document missing")
-	}
-	foundRouted := false
 	for k := range body {
-		if strings.HasPrefix(k, `fleet_sessions_routed_total{backend="`) {
-			foundRouted = true
+		if _, ok := want[k]; !ok {
+			t.Errorf("JSON body key %q is not a registry series", k)
 		}
 	}
-	if !foundRouted {
-		t.Error("JSON body missing labelled fleet_sessions_routed_total series")
+	if body["fleet_migrations_completed_total"] != float64(1) {
+		t.Errorf("fleet_migrations_completed_total = %v", body["fleet_migrations_completed_total"])
 	}
 }
 
@@ -200,6 +192,13 @@ func TestFleetMetricsAcceptHeader(t *testing.T) {
 	if _, err := obs.ParseText(res.Body); err != nil {
 		t.Errorf("negotiated exposition does not parse: %v", err)
 	}
+}
+
+// fleetMetric reads one series (keyed as the JSON /metrics body keys it)
+// from the router's registry; 0 when absent.
+func fleetMetric(rt *Router, key string) float64 {
+	v, _ := obs.JSONMap(rt.reg.Snapshot())[key].(float64)
+	return v
 }
 
 // snapHistCount reads one histogram's count out of a registry snapshot.

@@ -200,21 +200,6 @@ func isUnknownSession(err error) bool {
 		(errors.Is(err, server.ErrUnknown) || server.RemoteErrorCode(err) == wire.CodeUnknownSession)
 }
 
-// errorCode classifies a router-side error for the TError frame, deferring
-// to the backend's own classification when the chain carries one.
-func errorCode(err error) wire.ErrCode {
-	if code := server.RemoteErrorCode(err); code != "" {
-		return code
-	}
-	switch {
-	case errors.Is(err, ErrBackendDraining):
-		return wire.CodeDraining
-	case errors.Is(err, ErrNoBackends):
-		return wire.CodeFull
-	}
-	return server.ErrorCode(err)
-}
-
 // routeOpen places a fresh session: the id's ring sequence is tried in
 // order, skipping unroutable backends and failing over past full, draining,
 // or unreachable ones.
@@ -452,7 +437,7 @@ func (rt *Router) serveConn(conn net.Conn) {
 	bw := bufio.NewWriterSize(wrapped, 1<<16)
 
 	sendErr := func(err error) {
-		if werr := wire.WriteFrame(bw, wire.TError, wire.EncodeError(errorCode(err), err.Error())); werr == nil {
+		if werr := wire.WriteFrame(bw, wire.TError, wire.EncodeError(server.ErrorCode(err), err.Error())); werr == nil {
 			bw.Flush()
 		}
 	}

@@ -17,17 +17,13 @@ package loadgen
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -92,6 +88,14 @@ type Config struct {
 	// VerifySample re-runs up to N completed sessions' traces through
 	// batch Analyze and byte-compares reports (0 disables).
 	VerifySample int
+
+	// Faults, when one of FaultSchedules, runs the load against an
+	// in-process two-backend fleet with that seeded fault schedule armed
+	// (see faults.go) instead of Addr. Sessions then reconnect with
+	// backoff, are named from Seed (so fleet placement is a function of
+	// the seed), and run every Table 1 cell unless Analyses says
+	// otherwise; the report counts the injected faults.
+	Faults string
 
 	Logger *slog.Logger
 }
@@ -207,61 +211,13 @@ func newRunner(cfg Config, pool *tracePool) *runner {
 	return r
 }
 
-// Classify names an error by its typed class: a server sentinel (via
-// errors.Is across the wire, the PR 8 contract), a context outcome, a
-// connection-level failure, or — the contract's escape hatch — the raw
-// wire code of a typed remote error with no sentinel mapping. The empty
-// string means unclassified, which the harness reports as a violation.
-func Classify(err error) string {
-	switch {
-	case errors.Is(err, server.ErrServerFull):
-		return "server_full"
-	case errors.Is(err, server.ErrDraining):
-		return "draining"
-	case errors.Is(err, server.ErrBusy):
-		return "busy"
-	case errors.Is(err, server.ErrSuspended):
-		return "suspended"
-	case errors.Is(err, server.ErrEvicted):
-		return "evicted"
-	case errors.Is(err, server.ErrDiskFault):
-		return "disk_fault"
-	case errors.Is(err, server.ErrSessionClosed):
-		return "session_closed"
-	case errors.Is(err, server.ErrUnknown):
-		return "unknown_session"
-	case errors.Is(err, server.ErrIDTaken):
-		return "id_taken"
-	case errors.Is(err, server.ErrServerClosed):
-		return "server_closed"
-	case errors.Is(err, server.ErrHandoff):
-		return "handoff"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	}
-	if code := server.RemoteErrorCode(err); code != "" {
-		return "remote_" + string(code)
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNREFUSED) {
-		return "conn"
-	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return "conn"
-	}
-	return ""
-}
-
 // maxUnclassifiedSamples bounds the retained messages: enough to diagnose
 // a contract violation, not enough to bloat the report.
 const maxUnclassifiedSamples = 8
 
 func (r *runner) countError(op string, err error) {
-	class := Classify(err)
+	class := server.Classify(err)
+	r.cfg.Logger.Debug("session op failed", "op", op, "class", class, "err", err)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if class == "" {
@@ -288,7 +244,7 @@ func (r *runner) errorsSnapshot() (map[string]uint64, uint64) {
 // runSession drives one session end to end: open, paced feed with flush
 // barriers, close-with-report. Failures classify into exactly one error
 // class and fail the session; there are no silent drops.
-func (r *runner) runSession(ctx context.Context, tr *trace.Trace, mixKey string, sampled bool) {
+func (r *runner) runSession(ctx context.Context, id string, tr *trace.Trace, mixKey string, sampled bool) {
 	defer r.wg.Done()
 	defer func() { <-r.sem }()
 
@@ -298,6 +254,9 @@ func (r *runner) runSession(ctx context.Context, tr *trace.Trace, mixKey string,
 	}
 	if r.cfg.BatchSize > 0 {
 		opts = append(opts, server.WithReliableBatchSize(r.cfg.BatchSize))
+	}
+	if id != "" {
+		opts = append(opts, server.WithSessionID(id))
 	}
 	scfg := server.SessionConfig{Analyses: r.cfg.Analyses, Hints: race.HintsOf(tr)}
 
@@ -373,6 +332,19 @@ func (r *runner) runSession(ctx context.Context, tr *trace.Trace, mixKey string,
 // failures are data, reported in the document.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
+	var faults *faultFleet
+	if cfg.Faults != "" {
+		var err error
+		if faults, err = startFaultFleet(cfg.Faults, uint64(cfg.Seed), cfg.Logger); err != nil {
+			return nil, fmt.Errorf("loadgen: %w", err)
+		}
+		defer faults.close()
+		cfg.Addr = faults.addr
+		cfg.Retry = true
+		if len(cfg.Analyses) == 0 {
+			cfg.Analyses = race.Detectors()
+		}
+	}
 	if cfg.Addr == "" {
 		return nil, fmt.Errorf("loadgen: no wire address")
 	}
@@ -471,10 +443,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			mix, tr := pool.pick(rng)
 			idx := r.launched.Add(1)
 			sampled := cfg.VerifySample > 0 && (idx-1)%samplePeriod == 0
+			var id string
+			if faults != nil {
+				id = fmt.Sprintf("load-%d-%d", cfg.Seed, idx)
+			}
 			select {
 			case r.sem <- struct{}{}:
 				r.wg.Add(1)
-				go r.runSession(ctx, tr, mix.Key(), sampled)
+				go r.runSession(ctx, id, tr, mix.Key(), sampled)
 			default:
 				r.skipped.Add(1)
 			}
@@ -504,7 +480,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			FlushAckP50: dFlush.Quantile(0.50),
 			FlushAckP99: dFlush.Quantile(0.99),
 			OpenP99:     postOpen.Sub(preOpen).Quantile(0.99),
-			Rejections:  dErrs["server_full"] + dErrs["draining"],
+			Rejections:  dErrs["full"] + dErrs["draining"],
 			Errors:      dErrs,
 		}
 		stepStats = append(stepStats, ss)
@@ -574,6 +550,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 		rep.Generator.Verify = verifySamples(samples, cfg.Analyses, cfg.Logger)
 	}
+	if faults != nil {
+		rep.Generator.Faults = &FaultStats{Schedule: cfg.Faults, Injected: faults.injected()}
+	}
 	return rep, nil
 }
 
@@ -584,27 +563,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 func verifySamples(samples []sessionSample, analyses []string, logger *slog.Logger) *VerifyResult {
 	res := &VerifyResult{Sampled: len(samples)}
 	for _, s := range samples {
-		opts := []race.Option{race.WithCapacityHints(race.HintsOf(s.tr))}
-		if len(analyses) > 0 {
-			opts = append(opts, race.WithAnalysisNames(analyses...))
-		}
-		eng, err := race.NewEngine(opts...)
+		want, err := race.AnalyzeJSON(s.tr, race.WithAnalysisNames(analyses...))
 		if err != nil {
-			res.Mismatched = append(res.Mismatched, s.id+": engine: "+err.Error())
-			continue
-		}
-		if err := eng.FeedTrace(s.tr); err != nil {
-			res.Mismatched = append(res.Mismatched, s.id+": feed: "+err.Error())
-			continue
-		}
-		local, err := eng.Close()
-		if err != nil {
-			res.Mismatched = append(res.Mismatched, s.id+": close: "+err.Error())
-			continue
-		}
-		want, err := json.Marshal(local)
-		if err != nil {
-			res.Mismatched = append(res.Mismatched, s.id+": marshal: "+err.Error())
+			res.Mismatched = append(res.Mismatched, s.id+": batch analysis: "+err.Error())
 			continue
 		}
 		if !bytes.Equal(s.report, want) {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net"
 	"net/http/httptest"
-	"syscall"
 	"testing"
 	"time"
 
@@ -56,31 +55,6 @@ func TestRampSteps(t *testing.T) {
 	flat := rampSteps(Config{TargetRPS: 5, Duration: 3 * time.Second}.withDefaults())
 	if len(flat) != 1 || flat[0].rps != 5 || flat[0].dur != 3*time.Second {
 		t.Errorf("flat schedule = %+v, want one 5rps/3s step", flat)
-	}
-}
-
-func TestClassify(t *testing.T) {
-	cases := map[string]error{
-		"server_full":     server.ErrServerFull,
-		"draining":        server.ErrDraining,
-		"busy":            server.ErrBusy,
-		"disk_fault":      server.ErrDiskFault,
-		"timeout":         context.DeadlineExceeded,
-		"conn":            syscall.ECONNREFUSED,
-		"unknown_session": server.ErrUnknown,
-	}
-	for want, err := range cases {
-		if got := Classify(err); got != want {
-			t.Errorf("Classify(%v) = %q, want %q", err, got, want)
-		}
-	}
-	if got := Classify(net.ErrClosed); got != "conn" {
-		t.Errorf("Classify(net.ErrClosed) = %q, want conn", got)
-	}
-	// An error with no type at all is the harness violation case.
-	if got := Classify(context.Background().Err()); got != "" {
-		// context.Background().Err() is nil; guard the test itself.
-		t.Errorf("nil classify = %q", got)
 	}
 }
 
@@ -189,7 +163,7 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 // TestRunDetectsAdmissionBackpressure: against a one-session server, a
-// multi-session ramp must classify rejections as server_full and flag a
+// multi-session ramp must classify rejections as full and flag a
 // backpressure onset — never an unclassified error.
 func TestRunDetectsAdmissionBackpressure(t *testing.T) {
 	addr, _ := startBackend(t, server.Config{MaxSessions: 1})
@@ -211,8 +185,8 @@ func TestRunDetectsAdmissionBackpressure(t *testing.T) {
 	if g.Unclassified != 0 {
 		t.Fatalf("unclassified errors: %d (%v)", g.Unclassified, g.UnclassifiedSamples)
 	}
-	if g.Errors["server_full"] == 0 {
-		t.Fatalf("expected server_full rejections, got errors %v", g.Errors)
+	if g.Errors["full"] == 0 {
+		t.Fatalf("expected full rejections, got errors %v", g.Errors)
 	}
 	if g.BackpressureOnset == nil {
 		t.Fatal("no backpressure onset detected despite rejections")
@@ -253,5 +227,55 @@ func TestSearchFindsCeiling(t *testing.T) {
 	}
 	if res.MaxSustainableRPS >= 256 {
 		t.Errorf("max sustainable = %v, want below the rail", res.MaxSustainableRPS)
+	}
+}
+
+// TestFaultRunsMeetContract is the fault harness's own test: a short
+// seeded run per schedule against the in-process faulty fleet. Every
+// session must end byte-identical to batch analysis or fail with a typed
+// error, every completed session is verified, and the schedule must
+// actually fire — a run that injects nothing proves nothing.
+func TestFaultRunsMeetContract(t *testing.T) {
+	var mix []MixEntry
+	for _, name := range []string{"avrora", "xalan", "h2", "tomcat", "jython", "lusearch"} {
+		mix = append(mix, MixEntry{Kind: "dacapo", Name: name, Weight: 1})
+	}
+	for _, schedule := range FaultSchedules {
+		t.Run(schedule, func(t *testing.T) {
+			rep, err := Run(context.Background(), Config{
+				Faults:        schedule,
+				Seed:          1,
+				TargetRPS:     12,
+				Duration:      500 * time.Millisecond,
+				StepEvery:     500 * time.Millisecond,
+				SessionEvents: 12000,
+				FlushEvery:    256,
+				BatchSize:     256,
+				Mix:           mix,
+				Analyses:      []string{"FTO-HB", "ST-WDC"},
+				VerifySample:  16, // more than launch: verify every completed session
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := rep.Generator
+			if g.Unclassified != 0 {
+				t.Fatalf("unclassified errors: %d (%v)", g.Unclassified, g.UnclassifiedSamples)
+			}
+			if g.SessionsLaunched == 0 || g.SessionsCompleted+g.SessionsFailed != g.SessionsLaunched {
+				t.Fatalf("session accounting: %+v", g)
+			}
+			if g.Verify == nil || g.Verify.Sampled != int(g.SessionsCompleted) || g.Verify.Matched != g.Verify.Sampled {
+				t.Fatalf("verify %+v over %d completed sessions", g.Verify, g.SessionsCompleted)
+			}
+			if g.Faults == nil || g.Faults.Schedule != schedule || g.Faults.Injected < 1 {
+				t.Fatalf("faults = %+v, want the %s schedule to fire", g.Faults, schedule)
+			}
+			t.Logf("%s: %d/%d sessions completed, errors %v, %d faults injected",
+				schedule, g.SessionsCompleted, g.SessionsLaunched, g.Errors, g.Faults.Injected)
+		})
+	}
+	if _, err := Run(context.Background(), Config{Faults: "meteor"}); err == nil {
+		t.Error("unknown fault schedule accepted")
 	}
 }

@@ -45,10 +45,11 @@ type Generator struct {
 	CloseReportP50 float64 `json:"close_report_p50_seconds"`
 	CloseReportP99 float64 `json:"close_report_p99_seconds"`
 
-	// Errors counts every failed session op by class. Every value here is a
-	// *typed* failure (a wire ErrCode sentinel, a context outcome, or a
-	// connection-level error); anything the classifier cannot name lands in
-	// Unclassified and is a harness violation per the PR 8 error contract.
+	// Errors counts every failed session op by server.Classify class. Every
+	// value here is a *typed* failure (a wire error code, a handoff, a
+	// context outcome, or a connection-level error); anything the
+	// classifier cannot name lands in Unclassified and is a harness
+	// violation per the typed-error contract.
 	Errors              map[string]uint64 `json:"errors,omitempty"`
 	Unclassified        uint64            `json:"unclassified_errors"`
 	UnclassifiedSamples []string          `json:"unclassified_samples,omitempty"`
@@ -57,6 +58,7 @@ type Generator struct {
 	BackpressureOnset *Onset        `json:"backpressure_onset,omitempty"`
 	Verify            *VerifyResult `json:"verify,omitempty"`
 	Search            *SearchResult `json:"search,omitempty"`
+	Faults            *FaultStats   `json:"faults,omitempty"`
 }
 
 // StepStats is one ramp step's client-side interval statistics (histogram
@@ -78,9 +80,9 @@ type StepStats struct {
 	FlushAckP99 float64 `json:"flush_ack_p99_seconds"`
 	OpenP99     float64 `json:"session_open_p99_seconds"`
 
-	// Rejections sums the admission-control error classes (server_full,
-	// draining) observed during the step — the typed-rejection half of the
-	// backpressure-onset test.
+	// Rejections sums the admission-control error classes ("full" and
+	// "draining", as server.Classify names them) observed during the step —
+	// the typed-rejection half of the backpressure-onset test.
 	Rejections uint64            `json:"rejections"`
 	Errors     map[string]uint64 `json:"errors,omitempty"`
 }
@@ -104,6 +106,13 @@ type VerifyResult struct {
 	Sampled    int      `json:"sampled"`
 	Matched    int      `json:"matched"`
 	Mismatched []string `json:"mismatched,omitempty"` // session ids
+}
+
+// FaultStats records a fault run (Config.Faults): the armed schedule and
+// how many faults it fired. A run that fired none proved nothing.
+type FaultStats struct {
+	Schedule string `json:"schedule"`
+	Injected int64  `json:"injected"`
 }
 
 // SearchResult is the -search saturation probe's outcome.

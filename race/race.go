@@ -40,6 +40,7 @@
 package race
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -182,6 +183,26 @@ func AnalyzeByName(tr *Trace, name string) (*Report, error) {
 		return nil, err
 	}
 	return eng.Close()
+}
+
+// AnalyzeJSON is the batch reference every streamed session is held to:
+// one engine over the whole trace, closed, and its report rendered as the
+// canonical JSON a session's close returns. opts select the analyses (and
+// vindication) as for NewEngine; capacity hints come from the trace. A
+// session report is correct exactly when it equals these bytes.
+func AnalyzeJSON(tr *Trace, opts ...Option) ([]byte, error) {
+	eng, err := NewEngine(append([]Option{WithCapacityHints(HintsOf(tr))}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.FeedTrace(tr); err != nil {
+		return nil, err
+	}
+	rep, err := eng.Close()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(rep)
 }
 
 // Detectors lists the names of all available analyses.

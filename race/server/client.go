@@ -75,81 +75,6 @@ const DefaultClientBatch = 2048
 // offset says where to pick up. ReliableSession does this automatically.
 var ErrHandoff = errors.New("server: session handed off; reconnect and resume to continue")
 
-// SentinelForCode maps a wire error code to the local sentinel it encodes,
-// so a server-reported condition classifies identically on both sides of
-// the connection. Codes with no local counterpart (corrupt, proto, timeout,
-// internal) return nil and classify through the RemoteError itself.
-func SentinelForCode(code wire.ErrCode) error {
-	switch code {
-	case wire.CodeUnknownSession:
-		return ErrUnknown
-	case wire.CodeBusy:
-		return ErrBusy
-	case wire.CodeSuspended:
-		return ErrSuspended
-	case wire.CodeEvicted:
-		return ErrEvicted
-	case wire.CodeDraining:
-		return ErrDraining
-	case wire.CodeFull:
-		return ErrServerFull
-	case wire.CodeShutdown:
-		return ErrServerClosed
-	case wire.CodeClosed:
-		return ErrSessionClosed
-	case wire.CodeIDTaken:
-		return ErrIDTaken
-	case wire.CodeIO:
-		return ErrDiskFault
-	}
-	return nil
-}
-
-// remoteError is a decoded TError frame as the client surfaces it: it
-// unwraps to both the typed *wire.RemoteError (errors.As for the code) and
-// the matching local sentinel (errors.Is across the wire).
-type remoteError struct {
-	re       *wire.RemoteError
-	sentinel error
-}
-
-func (e *remoteError) Error() string { return e.re.Error() }
-
-func (e *remoteError) Unwrap() []error {
-	if e.sentinel == nil {
-		return []error{e.re}
-	}
-	return []error{e.re, e.sentinel}
-}
-
-// decodeRemoteError turns a TError payload into the error wire clients
-// propagate. Legacy plain-text payloads (an old server) decode with an
-// empty code and no sentinel — callers that still need to classify those
-// fall back to the message, but a v2 peer always sends a code.
-func decodeRemoteError(payload []byte) error {
-	re := wire.DecodeError(payload)
-	return &remoteError{re: re, sentinel: SentinelForCode(re.Code)}
-}
-
-// RemoteFault builds the error a typed remote failure surfaces as: it
-// unwraps to both the *wire.RemoteError carrying code and the matching
-// local sentinel. Callers that learn a failure's code out of band — the
-// fleet router reading the X-Raced-Error-Code header off an HTTP reply —
-// use it to restore errors.Is classification that plain body text loses.
-func RemoteFault(code wire.ErrCode, msg string) error {
-	return &remoteError{re: &wire.RemoteError{Code: code, Msg: msg}, sentinel: SentinelForCode(code)}
-}
-
-// RemoteErrorCode extracts the wire error code from an error chain (""
-// when the error did not come from a typed TError frame or header).
-func RemoteErrorCode(err error) wire.ErrCode {
-	var re *wire.RemoteError
-	if errors.As(err, &re) {
-		return re.Code
-	}
-	return ""
-}
-
 // Open performs the session handshake and returns the connection's session.
 // A connection carries exactly one session. It is OpenContext with the
 // background context (no timeout).

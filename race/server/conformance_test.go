@@ -88,18 +88,7 @@ func TestWireReportsMatchBatchAnalyzeAllCells(t *testing.T) {
 	_, addr := startTCP(t, Config{})
 	for trName, tr := range conformanceTraces(t) {
 		// In-process truth: one engine running all 15 cells over the trace.
-		eng, err := race.NewEngine(race.WithAnalysisNames(names...), race.WithCapacityHints(race.HintsOf(tr)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.FeedTrace(tr); err != nil {
-			t.Fatal(err)
-		}
-		local, err := eng.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := json.Marshal(local)
+		want, err := race.AnalyzeJSON(tr, race.WithAnalysisNames(names...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,18 +122,10 @@ func TestWireVindicationMatches(t *testing.T) {
 	b.Join("T0", "T2")
 	tr := b.Build()
 
-	eng, err := race.NewEngine(race.WithAnalysisNames("ST-WDC"), race.WithVindication())
+	want, err := race.AnalyzeJSON(tr, race.WithAnalysisNames("ST-WDC"), race.WithVindication())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
-		t.Fatal(err)
-	}
-	local, err := eng.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(local)
 
 	_, addr := startTCP(t, Config{})
 	remote, err := streamRemote(addr, SessionConfig{Analyses: []string{"ST-WDC"}, Vindicate: true}, tr, 512)
@@ -209,18 +190,10 @@ func TestConcurrentSessionsStress(t *testing.T) {
 			continue
 		}
 		tr := p.Generate(400000, int64(res.id+1))
-		eng, err := race.NewEngine(race.WithAnalysisNames(names...), race.WithCapacityHints(race.HintsOf(tr)))
+		want, err := race.AnalyzeJSON(tr, race.WithAnalysisNames(names...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.FeedTrace(tr); err != nil {
-			t.Fatal(err)
-		}
-		local, err := eng.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := json.Marshal(local)
 		got, _ := json.Marshal(res.rep)
 		if !bytes.Equal(got, want) {
 			t.Errorf("session %d: remote report differs from local analysis", res.id)

@@ -34,7 +34,7 @@ import (
 //	                                 report (query: analysis=A,B&vindicate=1)
 //	GET    /healthz                  readiness: 503 while draining or with an
 //	                                 unwritable data dir; reports occupancy
-//	GET    /metrics                  expvar-style counters
+//	GET    /metrics                  canonical metrics (JSON or Prometheus text)
 //
 // Fleet administration (the router's control surface):
 //
@@ -473,22 +473,13 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the registry two ways: ?format=prometheus — or a
 // Prometheus-style Accept: text/plain; version=0.0.4 header — emits the
-// text exposition (v0.0.4); the default JSON body carries every
-// canonical metric (see the README catalog) plus the legacy PR 4 keys
-// as aliases, kept for one release so existing scrapers keep working.
+// text exposition (v0.0.4); the default JSON body is the same series as a
+// flat canonical-name map (obs.JSONMap; see the README catalog).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" || obs.AcceptsText(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", obs.TextContentType)
 		obs.WriteText(w, s.Registry().Snapshot())
 		return
 	}
-	body := obs.JSONMap(s.Registry().Snapshot())
-	legacy, _ := json.Marshal(s.Metrics())
-	var alias map[string]any
-	if json.Unmarshal(legacy, &alias) == nil {
-		for k, v := range alias {
-			body[k] = v
-		}
-	}
-	writeJSON(w, body)
+	writeJSON(w, obs.JSONMap(s.Registry().Snapshot()))
 }

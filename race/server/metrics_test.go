@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -100,9 +101,17 @@ func TestMetricsScrapeConsistency(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONBackCompat: the JSON /metrics body still carries every
-// legacy PR 4 key (aliases for one release) alongside canonical names.
-func TestMetricsJSONBackCompat(t *testing.T) {
+// metricValue reads one series (keyed as the JSON /metrics body keys it)
+// from the server's registry; 0 when absent.
+func metricValue(s *Server, key string) float64 {
+	v, _ := obs.JSONMap(s.Registry().Snapshot())[key].(float64)
+	return v
+}
+
+// TestMetricsJSONIsRegistryMap: the JSON /metrics body is exactly the
+// registry's canonical-name map — the same keys as obs.JSONMap, no
+// aliases — and its counters agree with the Prometheus exposition.
+func TestMetricsJSONIsRegistryMap(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
 	sess, err := srv.OpenSession(SessionConfig{})
@@ -118,12 +127,32 @@ func TestMetricsJSONBackCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := srv.Metrics()
-	if snap.EventsTotal != uint64(len(tr.Events)) {
-		t.Errorf("events_total = %d, want %d", snap.EventsTotal, len(tr.Events))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	res, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap.SessionsOpened != 1 || snap.ActiveSessions != 1 {
-		t.Errorf("sessions: %+v", snap)
+	var body map[string]any
+	err = json.NewDecoder(res.Body).Decode(&body)
+	res.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := obs.JSONMap(srv.Registry().Snapshot())
+	if len(body) != len(want) {
+		t.Errorf("JSON body has %d keys, registry map %d", len(body), len(want))
+	}
+	for k := range body {
+		if _, ok := want[k]; !ok {
+			t.Errorf("JSON body key %q is not a registry series", k)
+		}
+	}
+	if got := body["raced_events_analyzed_total"]; got != float64(len(tr.Events)) {
+		t.Errorf("raced_events_analyzed_total = %v, want %d", got, len(tr.Events))
+	}
+	if body["raced_sessions_opened_total"] != float64(1) || body["raced_sessions_active"] != float64(1) {
+		t.Errorf("sessions: opened %v, active %v", body["raced_sessions_opened_total"], body["raced_sessions_active"])
 	}
 
 	var b strings.Builder
@@ -244,9 +273,6 @@ func TestRejectedReasonSplit(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-	if got := srv.Metrics().SessionsRejected; got != 2 {
-		t.Errorf("sessions_rejected sum = %d, want 2", got)
 	}
 }
 

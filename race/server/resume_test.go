@@ -14,22 +14,10 @@ import (
 	"repro/race"
 )
 
-// batchReport computes the in-process truth: one engine over the whole
-// trace, canonical JSON.
+// batchReport computes the in-process truth (race.AnalyzeJSON) for tr.
 func batchReport(t *testing.T, tr *race.Trace, names []string) []byte {
 	t.Helper()
-	eng, err := race.NewEngine(race.WithAnalysisNames(names...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.FeedTrace(tr); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := eng.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := json.Marshal(rep)
+	doc, err := race.AnalyzeJSON(tr, race.WithAnalysisNames(names...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,18 +304,10 @@ func TestDurableVindicatingSessionReport(t *testing.T) {
 	b.Join("T0", "T2")
 	tr := b.Build()
 
-	eng, err := race.NewEngine(race.WithAnalysisNames("ST-WDC"), race.WithVindication())
+	want, err := race.AnalyzeJSON(tr, race.WithAnalysisNames("ST-WDC"), race.WithVindication())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
-		t.Fatal(err)
-	}
-	local, err := eng.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(local)
 
 	dir := t.TempDir()
 	s := New(Config{DataDir: dir, IdleTimeout: -1})
@@ -546,11 +526,7 @@ func TestSessionListingAndPerSessionMetrics(t *testing.T) {
 		t.Errorf("finished session status %+v", st)
 	}
 
-	m := s.Metrics()
-	if got, want := m.SessionEvents[open.ID], uint64(len(tr.Events)); got != want {
-		t.Errorf("metrics session_events[%s] = %d, want %d", open.ID, got, want)
-	}
-	if _, ok := m.SessionEvents[closed.ID]; ok {
-		t.Errorf("metrics session_events lists finished session %s", closed.ID)
+	if got := metricValue(s, "raced_sessions_active"); got != 1 {
+		t.Errorf("raced_sessions_active = %v, want 1 (the streaming session only)", got)
 	}
 }

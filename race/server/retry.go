@@ -112,6 +112,14 @@ func WithReliableBatchSize(n int) ReliableOption {
 	}
 }
 
+// WithSessionID opens the session under a caller-chosen id (as
+// Client.OpenID) instead of a server-assigned one. A fleet router places
+// a session by hashing its id, so a deterministic id is a deterministic
+// placement.
+func WithSessionID(id string) ReliableOption {
+	return func(s *ReliableSession) { s.id = id }
+}
+
 // OpenReliable dials addr, opens a session, and returns a sink that
 // survives connection loss and fleet-side session migration. ctx bounds the
 // initial dial+handshake; its deadline (if any) does NOT apply to later
@@ -125,7 +133,12 @@ func OpenReliable(ctx context.Context, addr string, cfg SessionConfig, opts ...R
 		return nil, err
 	}
 	c.SetTracer(rs.tracer)
-	sess, err := c.OpenContext(ctx, cfg)
+	var sess *RemoteSession
+	if rs.id != "" {
+		sess, err = c.OpenID(ctx, rs.id, cfg)
+	} else {
+		sess, err = c.OpenContext(ctx, cfg)
+	}
 	if err != nil {
 		c.Close()
 		return nil, err

@@ -183,7 +183,7 @@ type metrics struct {
 	start time.Time
 
 	// Ingest pipeline, registered downstream-first (see above).
-	analyzed  *obs.Counter        // raced_events_analyzed_total (legacy events_total)
+	analyzed  *obs.Counter        // raced_events_analyzed_total
 	eng       *race.EngineMetrics // raced_engine_* (shared by every session's engine)
 	journaled *obs.Counter        // raced_events_journaled_total
 	enqueued  *obs.Counter        // raced_events_enqueued_total
@@ -227,19 +227,11 @@ type rejectedCounters struct {
 	shutdown   *obs.Counter // open raced server Close
 }
 
-// total sums every reason — the legacy single-counter view kept by the
-// JSON MetricsSnapshot. Each Value() is an atomic load; the sum is as
-// consistent as any multi-counter scrape.
-func (r *rejectedCounters) total() uint64 {
-	return r.full.Value() + r.draining.Value() + r.config.Value() +
-		r.idConflict.Value() + r.io.Value() + r.shutdown.Value()
-}
-
 // init registers the server metric catalog. s is only captured by the
 // gauge closures, which run at snapshot time.
 func (m *metrics) init(reg *obs.Registry, s *Server) {
 	m.analyzed = reg.Counter("raced_events_analyzed_total",
-		"Events fully applied to their session's analyses (legacy events_total).")
+		"Events fully applied to their session's analyses.")
 	m.eng = race.NewEngineMetrics(reg, "raced_engine")
 	m.journaled = reg.Counter("raced_events_journaled_total",
 		"Events committed past the write-ahead journal stage (a no-op pass-through on memory-only servers).")
@@ -296,29 +288,6 @@ func (m *metrics) init(reg *obs.Registry, s *Server) {
 		SyncSeconds: reg.Histogram("raced_journal_fsync_seconds",
 			"Journal Sync (flush + fsync) inside flush barriers.", obs.LatencyBuckets()),
 	}
-}
-
-// MetricsSnapshot is one reading of the server's counters.
-type MetricsSnapshot struct {
-	ActiveSessions   int    `json:"active_sessions"`
-	SessionsOpened   uint64 `json:"sessions_opened"`
-	SessionsClosed   uint64 `json:"sessions_closed"`
-	SessionsEvicted  uint64 `json:"sessions_evicted"`
-	SessionsRejected uint64 `json:"sessions_rejected"`
-	SessionsFailed   uint64 `json:"sessions_failed"`
-	// SessionsSuspended counts single-session suspends (the source half of
-	// a fleet migration); SessionsImported counts single-session recoveries
-	// (the target half). Whole-server Recover resumptions are not imports.
-	SessionsSuspended uint64  `json:"sessions_suspended"`
-	SessionsImported  uint64  `json:"sessions_imported"`
-	EventsTotal       uint64  `json:"events_total"`
-	BatchesTotal      uint64  `json:"batches_total"`
-	RacesTotal        uint64  `json:"races_total"`
-	UptimeSeconds     float64 `json:"uptime_seconds"`
-	EventsPerSecond   float64 `json:"events_per_second"`
-	// SessionEvents maps each live session to the event count its engine
-	// has consumed — the per-tenant load view.
-	SessionEvents map[string]uint64 `json:"session_events,omitempty"`
 }
 
 // New builds a Server and starts its idle-eviction janitor (unless eviction
@@ -750,44 +719,6 @@ func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
 // Tracer returns the server's span tracer (nil when tracing is off) so
 // front ends can mount /debug/traces and daemons can share it.
 func (s *Server) Tracer() *tracing.Tracer { return s.cfg.Tracer }
-
-// Metrics returns a snapshot of the server's counters in the legacy
-// (PR 4) JSON shape. The events_total read happens first — it is the
-// downstream end of the ingest pipeline — so the snapshot can never
-// claim more analyzed events than accepted ones.
-func (s *Server) Metrics() MetricsSnapshot {
-	up := s.cfg.now().Sub(s.metrics.start).Seconds()
-	events := s.metrics.analyzed.Value()
-	s.mu.Lock()
-	live := make([]*Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
-	s.mu.Unlock()
-	perSession := make(map[string]uint64, len(live))
-	for _, sess := range live {
-		perSession[sess.ID] = sess.Fed()
-	}
-	snap := MetricsSnapshot{
-		ActiveSessions:    s.ActiveSessions(),
-		SessionEvents:     perSession,
-		SessionsOpened:    s.metrics.opened.Value(),
-		SessionsClosed:    s.metrics.closed.Value(),
-		SessionsEvicted:   s.metrics.evicted.Value(),
-		SessionsRejected:  s.metrics.rejected.total(),
-		SessionsFailed:    s.metrics.failed.Value(),
-		SessionsSuspended: s.metrics.suspended.Value(),
-		SessionsImported:  s.metrics.imported.Value(),
-		EventsTotal:       events,
-		BatchesTotal:      s.metrics.batches.Value(),
-		RacesTotal:        s.metrics.races.Value(),
-		UptimeSeconds:     up,
-	}
-	if up > 0 {
-		snap.EventsPerSecond = float64(events) / up
-	}
-	return snap
-}
 
 // janitor periodically evicts idle sessions.
 func (s *Server) janitor() {

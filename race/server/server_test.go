@@ -62,9 +62,9 @@ func TestSessionLifecycle(t *testing.T) {
 	if s.ActiveSessions() != 0 {
 		t.Fatalf("session still registered after Close")
 	}
-	m := s.Metrics()
-	if m.EventsTotal != uint64(tr.Len()) || m.RacesTotal != 2 || m.SessionsClosed != 1 {
-		t.Fatalf("metrics = %+v", m)
+	if ev, races, closed := metricValue(s, "raced_events_analyzed_total"), metricValue(s, "raced_races_total"),
+		metricValue(s, "raced_sessions_closed_total"); ev != float64(tr.Len()) || races != 2 || closed != 1 {
+		t.Fatalf("metrics: analyzed %v, races %v, closed %v", ev, races, closed)
 	}
 
 	// Close is idempotent and Feed after Close errors.
@@ -95,8 +95,8 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := s.OpenSession(SessionConfig{}); err != nil {
 		t.Fatalf("after freeing a slot: %v", err)
 	}
-	if got := s.Metrics().SessionsRejected; got != 1 {
-		t.Fatalf("rejected = %d, want 1", got)
+	if got := metricValue(s, `raced_sessions_rejected_total{reason="full"}`); got != 1 {
+		t.Fatalf("rejected = %v, want 1", got)
 	}
 }
 
@@ -138,8 +138,8 @@ func TestIdleEviction(t *testing.T) {
 	if _, err := busy.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Metrics().SessionsEvicted; got != 1 {
-		t.Fatalf("evicted counter = %d, want 1", got)
+	if got := metricValue(s, "raced_sessions_evicted_total"); got != 1 {
+		t.Fatalf("evicted counter = %v, want 1", got)
 	}
 }
 
@@ -205,7 +205,7 @@ func TestPanicIsolation(t *testing.T) {
 	if rep.Dynamic() != 1 {
 		t.Fatalf("healthy session found %d races, want 1", rep.Dynamic())
 	}
-	if got := s.Metrics().SessionsFailed; got == 0 {
+	if got := metricValue(s, "raced_sessions_failed_total"); got == 0 {
 		t.Fatal("failed counter not incremented")
 	}
 }
@@ -330,14 +330,14 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("archived report = %+v", archived)
 	}
 
-	var metrics MetricsSnapshot
+	var metrics map[string]any
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	decode(resp, &metrics)
-	if metrics.EventsTotal != uint64(tr.Len()) || metrics.RacesTotal != 2 {
-		t.Fatalf("metrics = %+v", metrics)
+	if metrics["raced_events_analyzed_total"] != float64(tr.Len()) || metrics["raced_races_total"] != float64(2) {
+		t.Fatalf("metrics = %v", metrics)
 	}
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -377,18 +377,7 @@ func TestHTTPIngestOneShot(t *testing.T) {
 		t.Fatalf("/ingest: %s", got.String())
 	}
 
-	eng, err := race.NewEngine(race.WithAnalysisNames("FTO-HB", "ST-WDC"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.FeedTrace(tr); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := eng.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(rep)
+	want, err := race.AnalyzeJSON(tr, race.WithAnalysisNames("FTO-HB", "ST-WDC"))
 	if err != nil {
 		t.Fatal(err)
 	}

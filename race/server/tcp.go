@@ -19,43 +19,6 @@ import (
 // CodeProto rather than CodeInternal.
 var errProto = errors.New("server: protocol violation")
 
-// ErrorCode classifies a server-side error into the wire vocabulary — the
-// typed half of every TError frame. The mapping is what lets clients and
-// routers use errors.Is instead of message matching. The fleet router uses
-// it too, so an error classifies identically no matter which hop encodes it.
-func ErrorCode(err error) wire.ErrCode {
-	switch {
-	case errors.Is(err, ErrUnknown):
-		return wire.CodeUnknownSession
-	case errors.Is(err, ErrBusy):
-		return wire.CodeBusy
-	case errors.Is(err, ErrSuspended):
-		return wire.CodeSuspended
-	case errors.Is(err, ErrEvicted):
-		return wire.CodeEvicted
-	case errors.Is(err, ErrDraining):
-		return wire.CodeDraining
-	case errors.Is(err, ErrServerFull):
-		return wire.CodeFull
-	case errors.Is(err, ErrServerClosed):
-		return wire.CodeShutdown
-	case errors.Is(err, ErrSessionClosed):
-		return wire.CodeClosed
-	case errors.Is(err, ErrIDTaken):
-		return wire.CodeIDTaken
-	case errors.Is(err, ErrDiskFault):
-		return wire.CodeIO
-	case errors.Is(err, wire.ErrCorruptFrame):
-		return wire.CodeCorrupt
-	case errors.Is(err, os.ErrDeadlineExceeded):
-		return wire.CodeTimeout
-	case errors.Is(err, errProto):
-		return wire.CodeProto
-	default:
-		return wire.CodeInternal
-	}
-}
-
 // deadlineConn enforces Config.IOTimeout: every Read and Write refreshes
 // the matching deadline, so steady progress — however slow — never trips
 // it, while a connection that stalls completely for the timeout is cut
