@@ -75,7 +75,7 @@ func BenchmarkAnalysisAllCells(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, err := bench.MeasureEngine(benchTrace, names, cfg.par, 0)
+				d, err := bench.MeasureEngine(benchTrace, names, cfg.par)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -36,7 +36,6 @@ func main() {
 		programs = flag.String("programs", "", "comma-separated workload subset (default: all ten)")
 		jsonOut  = flag.String("json", "", "write machine-readable results (racebench/v1 schema) to this file")
 		par      = flag.Int("parallelism", 0, "fan-out parallelism for -json throughput (0 = GOMAXPROCS)")
-		batch    = flag.Int("batch", 0, "fan-out batch size for -json throughput (0 = engine default)")
 	)
 	flag.Parse()
 
@@ -46,7 +45,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		rep, err := bench.BuildJSON(cfg, *par, *batch)
+		rep, err := bench.BuildJSON(cfg, *par)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "racebench: %v\n", err)
 			os.Exit(1)

@@ -22,7 +22,8 @@ package bench
 //	    {"name": "ST-WDC", "events": N, "ns_per_event": ..,
 //	     "allocs_per_op": .., "bytes_per_op": ..}],
 //	  "fanout": {               // all-cells engine throughput
-//	    "analyses": [..], "events": N, "parallelism": P, "batch": K,
+//	    "analyses": [..], "events": N, "parallelism": P,
+//	    "batch": K,             // race.BatchSize, the fixed pipeline batch
 //	    "sequential_ns": .., "parallel_ns": ..,
 //	    "sequential_events_per_sec": .., "parallel_events_per_sec": ..,
 //	    "speedup": ..}
@@ -114,12 +115,11 @@ type JSONFanout struct {
 // MeasureEngine times one full pass of tr through an engine running the
 // named analyses at the given parallelism (1 = sequential), returning the
 // wall-clock duration of Feed-to-Close.
-func MeasureEngine(tr *trace.Trace, names []string, parallelism, batch int) (time.Duration, error) {
+func MeasureEngine(tr *trace.Trace, names []string, parallelism int) (time.Duration, error) {
 	eng, err := race.NewEngine(
 		race.WithAnalysisNames(names...),
 		race.WithCapacityHints(race.HintsOf(tr)),
 		race.WithParallelism(parallelism),
-		race.WithBatchSize(batch),
 		race.WithUncheckedInput(),
 	)
 	if err != nil {
@@ -137,25 +137,22 @@ func MeasureEngine(tr *trace.Trace, names []string, parallelism, batch int) (tim
 
 // MeasureFanout compares sequential vs parallel all-cells engine
 // throughput over tr. parallelism ≤ 0 selects GOMAXPROCS.
-func MeasureFanout(tr *trace.Trace, names []string, parallelism, batch int) (*JSONFanout, error) {
+func MeasureFanout(tr *trace.Trace, names []string, parallelism int) (*JSONFanout, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	// Record the effective configuration, not the requested one, so
 	// trajectory points stay comparable across PRs even if defaults move.
 	parallelism = min(parallelism, len(names))
-	if batch <= 0 {
-		batch = race.DefaultBatchSize
-	}
 	// One warm-up pass primes id interning and page tables out of the
 	// measured runs' first-touch costs.
-	if _, err := MeasureEngine(tr, names, 1, batch); err != nil {
+	if _, err := MeasureEngine(tr, names, 1); err != nil {
 		return nil, err
 	}
 	best := func(par int) (time.Duration, error) {
 		bestD := time.Duration(0)
 		for i := 0; i < 3; i++ {
-			d, err := MeasureEngine(tr, names, par, batch)
+			d, err := MeasureEngine(tr, names, par)
 			if err != nil {
 				return 0, err
 			}
@@ -183,7 +180,7 @@ func MeasureFanout(tr *trace.Trace, names []string, parallelism, batch int) (*JS
 		Analyses:      names,
 		Events:        tr.Len(),
 		Parallelism:   parallelism,
-		Batch:         batch,
+		Batch:         race.BatchSize,
 		SequentialNs:  seq.Nanoseconds(),
 		ParallelNs:    par.Nanoseconds(),
 		SequentialEPS: eps(seq),
@@ -228,7 +225,7 @@ func MeasureSingleAnalysisCosts(tr *trace.Trace) []JSONAnalysisCost {
 // and the fan-out throughput comparison (over the avrora-calibrated
 // workload at referenceTrace's fixed 1/8000 scale so the number is
 // comparable across machines and PRs at different table scales).
-func BuildJSON(cfg Config, parallelism, batch int) (*JSONReport, error) {
+func BuildJSON(cfg Config, parallelism int) (*JSONReport, error) {
 	cfg = cfg.withDefaults()
 	names := append(append([]string(nil), GridNames...), "FT2", "Unopt-DC w/G", "Unopt-WCP w/G", "Unopt-WDC w/G")
 	rep := &JSONReport{
@@ -261,7 +258,7 @@ func BuildJSON(cfg Config, parallelism, batch int) (*JSONReport, error) {
 	for _, e := range analysis.All() {
 		all = append(all, e.Name)
 	}
-	fanout, err := MeasureFanout(ref, all, parallelism, batch)
+	fanout, err := MeasureFanout(ref, all, parallelism)
 	if err != nil {
 		return nil, err
 	}

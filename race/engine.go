@@ -70,7 +70,6 @@ type engineConfig struct {
 	hints          CapacityHints
 	unchecked      bool
 	par            int
-	batch          int
 	spillDir       string
 	spillThreshold int
 	met            *EngineMetrics
@@ -119,8 +118,9 @@ func WithVindication() Option {
 // detections happen — the paper's "detect races during the analyzed
 // execution" shape. On a sequential engine the callback runs synchronously
 // on the feeding goroutine; on a parallel engine (WithParallelism) it runs
-// on a single delivery goroutine, so invocations never race each other,
-// and races from one analysis arrive in detection order (RaceInfo.Seq).
+// on the worker goroutine that detected the race, but never concurrently
+// with itself, and races from one analysis arrive in detection order
+// (RaceInfo.Seq).
 // The callback must not call back into the engine.
 func WithOnRace(fn func(RaceInfo)) Option {
 	return func(c *engineConfig) { c.onRace = fn }
@@ -139,25 +139,17 @@ func WithUncheckedInput() Option {
 }
 
 // WithParallelism runs the engine's analyses on up to n worker goroutines
-// (capped at the fan-out size), each fed the event stream through a
-// batched single-producer ring — the pipelined fan-out that makes a
-// multi-analysis engine scale with cores instead of paying one full
-// analysis cost per Table 1 cell per event. n ≤ 1 keeps the sequential
-// engine. Feed must still be called from one goroutine at a time; the
-// Close report is identical to the sequential engine's, and OnRace
-// callbacks are delivered from a single goroutine in per-analysis
-// detection order (see RaceInfo.Seq). A good default is
+// (capped at the fan-out size), each fed the event stream in batches of
+// BatchSize events through a buffered channel — the pipelined fan-out that
+// makes a multi-analysis engine scale with cores instead of paying one
+// full analysis cost per Table 1 cell per event. n ≤ 1 keeps the
+// sequential engine. Feed must still be called from one goroutine at a
+// time; the Close report is identical to the sequential engine's, and
+// OnRace callbacks are delivered by the workers, never concurrently, in
+// per-analysis detection order (see RaceInfo.Seq). A good default is
 // runtime.GOMAXPROCS(0) when the fan-out has at least that many analyses.
 func WithParallelism(n int) Option {
 	return func(c *engineConfig) { c.par = n }
-}
-
-// WithBatchSize sets the number of events the parallel pipeline groups per
-// flush (default 1024). Larger batches amortize coordination further;
-// smaller batches reduce the latency of OnRace delivery between
-// synchronization events. Ignored by the sequential engine.
-func WithBatchSize(k int) Option {
-	return func(c *engineConfig) { c.batch = k }
 }
 
 // engineDet is one detector of the fan-out plus its race-delivery cursor.
@@ -174,9 +166,10 @@ type engineDet struct {
 // pass, reports races online through the optional OnRace callback, and
 // produces a final Report at Close.
 //
-// With WithParallelism the analyses run on worker goroutines fed by a
-// batched pipeline (see pipeline.go); Feed becomes a cheap enqueue and the
-// Close report is bit-identical to the sequential engine's.
+// With WithParallelism the analyses run on worker goroutines fed by
+// channels of event batches (see pipeline.go); Feed becomes a cheap
+// enqueue and the Close report is bit-identical to the sequential
+// engine's.
 //
 // An Engine is not safe for concurrent use; callers (such as Runtime)
 // serialize Feed calls. After an error from Feed the engine is poisoned:
@@ -254,7 +247,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		e.dets = append(e.dets, engineDet{entry: entry, a: entry.New(spec)})
 	}
 	if n := min(cfg.par, len(e.dets)); n > 1 {
-		e.startPipeline(n, cfg.batch)
+		e.startPipeline(n)
 	}
 	return e, nil
 }
@@ -318,23 +311,16 @@ func (e *Engine) Feed(ev Event) error {
 		}
 	}
 	if e.pipe != nil {
-		if err := e.checkPipe(); err != nil {
+		if err := e.enqueueBatch([]Event{ev}); err != nil {
 			return err
 		}
-		if err := e.enqueue(ev); err != nil {
-			return err
-		}
-		e.fed++
-		if e.met != nil {
-			e.met.eventsFed.Inc()
-		}
-		return nil
-	}
-	for i := range e.dets {
-		d := &e.dets[i]
-		d.a.Handle(ev)
-		if e.onRace != nil || e.met != nil {
-			e.deliverNew(d)
+	} else {
+		for i := range e.dets {
+			d := &e.dets[i]
+			d.a.Handle(ev)
+			if e.onRace != nil || e.met != nil {
+				e.deliverNew(d)
+			}
 		}
 	}
 	e.fed++
@@ -345,9 +331,10 @@ func (e *Engine) Feed(ev Event) error {
 }
 
 // deliverNew invokes the OnRace callback for d's not-yet-delivered races
-// and counts them into the metrics registry. RaceCount is a cheap counter
-// read; the race records are only touched on the (rare) events that
-// detected something.
+// and counts them into the metrics registry — on the feeding goroutine for
+// a sequential engine, on d's worker for a parallel one. RaceCount is a
+// cheap counter read; the race records are only touched on the (rare)
+// events that detected something.
 func (e *Engine) deliverNew(d *engineDet) {
 	col := d.a.Races()
 	for n := col.RaceCount(); d.seen < n; d.seen++ {
@@ -367,18 +354,6 @@ func (e *Engine) deliverNew(d *engineDet) {
 			Write:    rc.Write,
 		})
 	}
-}
-
-// checkPipe surfaces a dead pipeline as the engine's sticky error.
-func (e *Engine) checkPipe() error {
-	if e.pipe.dead.Load() {
-		e.err = e.pipe.firstErr()
-		if e.err == nil {
-			e.err = errors.New("race: pipeline worker failed")
-		}
-		return e.err
-	}
-	return nil
 }
 
 // FeedBatch consumes a run of events in one call — the feed-side batching
@@ -426,9 +401,6 @@ func (e *Engine) FeedBatch(evs []Event) error {
 		}
 	}
 	if e.pipe != nil {
-		if err := e.checkPipe(); err != nil {
-			return err
-		}
 		if err := e.enqueueBatch(valid); err != nil {
 			return err
 		}

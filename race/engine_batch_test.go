@@ -144,7 +144,7 @@ func TestSyncBarrier(t *testing.T) {
 	for _, par := range []int{0, 2, 3} {
 		opts := []race.Option{race.WithAnalysisNames(names...)}
 		if par > 0 {
-			opts = append(opts, race.WithParallelism(par), race.WithBatchSize(64))
+			opts = append(opts, race.WithParallelism(par))
 		}
 		eng, err := race.NewEngine(opts...)
 		if err != nil {

@@ -63,10 +63,17 @@ func parallelConformanceTraces(t *testing.T) map[string]*race.Trace {
 
 func feedAll(t *testing.T, eng *race.Engine, tr *race.Trace) *race.Report {
 	t.Helper()
-	for _, ev := range tr.Events {
-		if err := eng.Feed(ev); err != nil {
-			t.Fatal(err)
-		}
+	return feedRuns(t, eng, tr, 0)
+}
+
+// feedRuns feeds tr through FeedBatch in runs of the given length (0 =
+// event by event through Feed) and closes the engine. Run lengths that
+// straddle the pipeline's batch size, or are far below it, vary where the
+// pipeline's batches are cut.
+func feedRuns(t *testing.T, eng *race.Engine, tr *race.Trace, run int) *race.Report {
+	t.Helper()
+	if err := feedStream(eng, tr.Events, run); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := eng.Close()
 	if err != nil {
@@ -75,11 +82,29 @@ func feedAll(t *testing.T, eng *race.Engine, tr *race.Trace) *race.Report {
 	return rep
 }
 
+// feedStream feeds evs in runs of the given length (0 = through Feed).
+func feedStream(eng *race.Engine, evs []race.Event, run int) error {
+	if run == 0 {
+		for _, ev := range evs {
+			if err := eng.Feed(ev); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for off := 0; off < len(evs); off += run {
+		if err := eng.FeedBatch(evs[off:min(off+run, len(evs))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestParallelEngineMatchesSequential proves the tentpole's determinism
 // claim: for every workload, a parallel engine running all 15 Table 1
 // cells produces a Close report byte-for-byte identical to the sequential
-// engine's — across several parallelism degrees and batch sizes,
-// including batch sizes small enough to exercise ring backpressure.
+// engine's — across several parallelism degrees and FeedBatch run
+// lengths, from event-by-event Feed to runs past the pipeline batch size.
 // Engines are built with zero capacity hints, so threads forked
 // mid-stream are discovered by the workers, not pre-declared.
 func TestParallelEngineMatchesSequential(t *testing.T) {
@@ -93,27 +118,26 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := renderReport(feedAll(t, seq, tr))
-		for _, cfg := range []struct{ par, batch int }{
-			{2, 0}, {4, 64}, {8, 7}, {runtime.GOMAXPROCS(0), 1024}, {32, 0},
+		for _, cfg := range []struct{ par, run int }{
+			{2, 0}, {4, 64}, {8, 7}, {runtime.GOMAXPROCS(0), 1024}, {3, 4096}, {32, 0},
 		} {
 			par, err := race.NewEngine(
 				race.WithAnalysisNames(names...),
 				race.WithParallelism(cfg.par),
-				race.WithBatchSize(cfg.batch),
 			)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := renderReport(feedAll(t, par, tr))
+			got := renderReport(feedRuns(t, par, tr, cfg.run))
 			if got != want {
-				t.Errorf("%s: parallel(%d, batch %d) report differs from sequential\n--- sequential ---\n%s--- parallel ---\n%s",
-					trName, cfg.par, cfg.batch, want, got)
+				t.Errorf("%s: parallel(%d, run %d) report differs from sequential\n--- sequential ---\n%s--- parallel ---\n%s",
+					trName, cfg.par, cfg.run, want, got)
 			}
 		}
 	}
 }
 
-// TestParallelEngineOnRaceDelivery checks the single-drainer callback
+// TestParallelEngineOnRaceDelivery checks the worker-delivered callback
 // contract: per-analysis sequence numbers arrive gapless and in order,
 // the total delivered set matches the final report exactly, and no two
 // callbacks overlap (guarded counter; the -race run makes any callback
@@ -130,7 +154,6 @@ func TestParallelEngineOnRaceDelivery(t *testing.T) {
 	eng, err := race.NewEngine(
 		race.WithAnalysisNames(names...),
 		race.WithParallelism(4),
-		race.WithBatchSize(128),
 		race.WithOnRace(func(ri race.RaceInfo) {
 			mu.Lock()
 			inFlight++
@@ -149,7 +172,7 @@ func TestParallelEngineOnRaceDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := feedAll(t, eng, tr)
+	rep := feedRuns(t, eng, tr, 128)
 	for _, name := range rep.Analyses() {
 		sub, _ := rep.ByAnalysis(name)
 		if delivered[name] != sub.Dynamic() {
@@ -160,8 +183,9 @@ func TestParallelEngineOnRaceDelivery(t *testing.T) {
 
 // TestParallelEngineFeedCloseStress drives the pipeline from a feeding
 // goroutine while Close runs on the test goroutine, over and over with
-// adversarial batch sizes — under -race this proves the rings, the batch
-// pool, the drainer, and the worker join in Close are data-race-free.
+// adversarial FeedBatch run lengths — under -race this proves the worker
+// queues, the batch pool, the worker-delivered callbacks, and the worker
+// join in Close are data-race-free.
 func TestParallelEngineFeedCloseStress(t *testing.T) {
 	p, _ := workload.ProgramByName("avrora")
 	tr := p.Generate(2000000, 2)
@@ -178,22 +202,13 @@ func TestParallelEngineFeedCloseStress(t *testing.T) {
 				race.Cell{Relation: race.HB, Level: race.FTO},
 				race.Cell{Relation: race.WDC, Level: race.Unopt}),
 			race.WithParallelism(4),
-			race.WithBatchSize(1+i*13),
 			race.WithOnRace(func(race.RaceInfo) { mu.Lock(); races++; mu.Unlock() }),
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fed := make(chan error, 1)
-		go func() {
-			for _, ev := range tr.Events {
-				if err := eng.Feed(ev); err != nil {
-					fed <- err
-					return
-				}
-			}
-			fed <- nil
-		}()
+		go func() { fed <- feedStream(eng, tr.Events, i*13) }()
 		if err := <-fed; err != nil {
 			t.Fatal(err)
 		}
@@ -245,8 +260,8 @@ func TestParallelEngineErrorPoisoning(t *testing.T) {
 }
 
 // TestParallelEngineOnRacePanicPoisons: a panicking OnRace callback must
-// not crash the process (it runs on the drainer goroutine, where nothing
-// can recover it) — it poisons the engine, which Close reports.
+// not crash the process (it runs on a pipeline worker, where no caller can
+// recover it) — it poisons the engine, which Close reports.
 func TestParallelEngineOnRacePanicPoisons(t *testing.T) {
 	p, _ := workload.ProgramByName("pmd")
 	tr := p.Generate(400000, 3)

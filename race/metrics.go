@@ -48,7 +48,7 @@ func NewEngineMetrics(reg *obs.Registry, prefix string) *EngineMetrics {
 		"Wall time of one FeedBatch call (checker + retain + enqueue or analyze).",
 		obs.LatencyBuckets())
 	m.ringOcc = reg.Histogram(prefix+"_ring_occupancy",
-		"Pipeline ring occupancy (in-flight batches, max across workers) sampled at each flush.",
+		"Pipeline worker queue occupancy (in-flight batches, max across workers) sampled at each flush.",
 		obs.DepthBuckets())
 	return m
 }

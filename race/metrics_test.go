@@ -39,7 +39,7 @@ func TestMetricsDoNotPerturbReports(t *testing.T) {
 		met := race.NewEngineMetrics(reg, "test_engine")
 		opts := []race.Option{race.WithAnalysisNames(names...), race.WithMetrics(met)}
 		if cfg.par > 1 {
-			opts = append(opts, race.WithParallelism(cfg.par), race.WithBatchSize(64))
+			opts = append(opts, race.WithParallelism(cfg.par))
 		}
 		eng, err := race.NewEngine(opts...)
 		if err != nil {
@@ -101,7 +101,7 @@ func TestEngineMetricsExposition(t *testing.T) {
 	eng, err := race.NewEngine(
 		race.WithAnalysisNames("ST-WDC", "FTO-HB"),
 		race.WithMetrics(met),
-		race.WithParallelism(2), race.WithBatchSize(32),
+		race.WithParallelism(2),
 	)
 	if err != nil {
 		t.Fatal(err)

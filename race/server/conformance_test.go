@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/race"
 )
@@ -255,4 +257,104 @@ func TestWireProtocolErrors(t *testing.T) {
 
 func errContains(err error, sub string) bool {
 	return err != nil && bytes.Contains([]byte(err.Error()), []byte(sub))
+}
+
+// TestParallelSessionOverWire streams a DaCapo-shaped trace over TCP into
+// a 15-cell session on the parallel engine, with flush barriers mid-stream
+// and at the end. The flush→Sync barrier must make the session's live race
+// list complete (every race the report will hold, delivered by the
+// pipeline workers through Session.onRace, per-analysis Seq gapless), and
+// the closed report must be byte-identical to batch analysis.
+func TestParallelSessionOverWire(t *testing.T) {
+	names := race.Detectors()
+	p, _ := workload.ProgramByName("pmd")
+	tr := p.Generate(4000, 1)
+	want, err := race.AnalyzeJSON(tr, race.WithAnalysisNames(names...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRep, err := race.ReportFromJSON(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRaces := 0
+	for _, name := range wantRep.Analyses() {
+		sub, _ := wantRep.ByAnalysis(name)
+		wantRaces += sub.Dynamic()
+	}
+	if wantRaces == 0 {
+		t.Fatal("pmd trace has no races; the callback path would go unexercised")
+	}
+
+	srv, addr := startTCP(t, Config{})
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	sess, err := client.Open(SessionConfig{Analyses: names, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	third := len(tr.Events) / 3
+	for _, part := range [][]race.Event{tr.Events[:third], tr.Events[third : 2*third], tr.Events[2*third:]} {
+		if err := sess.FeedBatch(part); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, ok := srv.Session(sess.ID())
+	if !ok {
+		t.Fatalf("session %s not found on the server", sess.ID())
+	}
+	online := live.Races()
+	if len(online) != wantRaces {
+		t.Errorf("after the last flush the session holds %d races, the report has %d", len(online), wantRaces)
+	}
+	nextSeq := map[string]int{}
+	for _, ri := range online {
+		if ri.Seq != nextSeq[ri.Analysis] {
+			t.Fatalf("%s: race seq %d delivered, want %d", ri.Analysis, ri.Seq, nextSeq[ri.Analysis])
+		}
+		nextSeq[ri.Analysis]++
+	}
+	got, err := sess.CloseJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("parallel wire report differs from batch Analyze\n--- remote ---\n%s\n--- local ---\n%s", got, want)
+	}
+}
+
+// TestHelloIgnoresRetiredBatchSize: a hello written by an older client
+// that still carries the retired session batch_size field opens a session
+// normally — unknown JSON fields are ignored.
+func TestHelloIgnoresRetiredBatchSize(t *testing.T) {
+	srv, addr := startTCP(t, Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := fmt.Sprintf(`{"proto":%d,"session":{"analyses":["ST-WDC","FTO-HB"],"parallelism":2,"batch_size":64}}`, wire.Proto)
+	if err := wire.WriteFrame(conn, wire.THello, []byte(hello)); err != nil {
+		t.Fatal(err)
+	}
+	typ, resp, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != wire.TAck {
+		t.Fatalf("hello with batch_size answered %v %s, want an ack", typ, resp)
+	}
+	var ack ackPayload
+	if err := json.Unmarshal(resp, &ack); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := srv.Session(ack.Session); !ok {
+		t.Errorf("acked session %s is not open on the server", ack.Session)
+	}
 }

@@ -48,10 +48,9 @@ type SessionConfig struct {
 	// Vindicate makes the session's engine retain the stream and vindicate
 	// detected races at close (memory proportional to the stream).
 	Vindicate bool `json:"vindicate,omitempty"`
-	// Parallelism and BatchSize configure the engine's worker pipeline
-	// (race.WithParallelism / race.WithBatchSize).
+	// Parallelism runs the engine's analyses on worker goroutines
+	// (race.WithParallelism).
 	Parallelism int `json:"parallelism,omitempty"`
-	BatchSize   int `json:"batch_size,omitempty"`
 	// Hints pre-size detector state for the session's expected id spaces.
 	Hints race.CapacityHints `json:"hints,omitzero"`
 }
@@ -387,7 +386,7 @@ func newEngineSink(cfg SessionConfig, onRace func(race.RaceInfo), dataDir string
 		}
 	}
 	if cfg.Parallelism > 1 {
-		opts = append(opts, race.WithParallelism(cfg.Parallelism), race.WithBatchSize(cfg.BatchSize))
+		opts = append(opts, race.WithParallelism(cfg.Parallelism))
 	}
 	return race.NewEngine(opts...)
 }
@@ -896,8 +895,9 @@ func (sess *Session) startSpan(name string, parent tracing.SpanContext) *tracing
 	return sp
 }
 
-// onRace collects online detections; it runs on the feeder goroutine (or
-// the engine pipeline's drainer), never concurrently with itself.
+// onRace collects online detections; it runs on the feeder goroutine (or,
+// on a parallel session, on the engine pipeline's workers), never
+// concurrently with itself.
 func (sess *Session) onRace(ri race.RaceInfo) {
 	sess.mu.Lock()
 	sess.online = append(sess.online, ri)
@@ -917,7 +917,7 @@ func (sess *Session) run(sink engineSink) {
 		if item.ack != nil {
 			// Flush barrier: first make everything journaled so far
 			// durable, then wait for the engine to apply it (on a parallel
-			// engine batches are still in flight on worker rings). The ack
+			// engine batches are still in flight on worker queues). The ack
 			// then really means "everything before this point is analyzed
 			// and survives a crash".
 			if sess.Err() == nil && sess.jlog != nil {
